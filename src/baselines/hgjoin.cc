@@ -238,24 +238,29 @@ QueryResult EvaluateHgJoin(const DataGraph& g, const IntervalIndex& idx,
     return EnumerateConjMatchGraph(q, mg, stats);
   }
 
-  // HGJoin+: try all (capped) connected plans, report the fastest.
+  // HGJoin+: try all (capped) connected plans and report the fastest
+  // plan's time. Every plan yields the same answer; the counters are
+  // those of one plan chosen without the clock (smallest intermediate
+  // size, ties to the lowest plan index), so they are deterministic.
   std::vector<std::vector<size_t>> plans;
   EnumeratePlans(rels.size(), options.max_plans, &plans, rels);
   GTPQ_CHECK(!plans.empty());
   QueryResult result;
-  double best_ms = -1;
-  for (const auto& plan : plans) {
+  double best_ms = 0;
+  EngineStats chosen;
+  for (size_t i = 0; i < plans.size(); ++i) {
     EngineStats scratch;
     Timer t;
-    auto tuples = RunPlan(q, rels, plan, &scratch);
-    double ms = t.ElapsedMillis();
-    if (best_ms < 0 || ms < best_ms) {
-      best_ms = ms;
+    auto tuples = RunPlan(q, rels, plans[i], &scratch);
+    const double ms = t.ElapsedMillis();
+    if (i == 0 || ms < best_ms) best_ms = ms;
+    if (i == 0 || scratch.intermediate_size < chosen.intermediate_size) {
+      chosen = scratch;
       result = ProjectTuples(q, tuples);
-      stats->join_ops += scratch.join_ops;
-      stats->intermediate_size += scratch.intermediate_size;
     }
   }
+  stats->join_ops += chosen.join_ops;
+  stats->intermediate_size += chosen.intermediate_size;
   if (report != nullptr) {
     report->best_plan_ms = best_ms;
     report->plans_tried = plans.size();

@@ -27,8 +27,9 @@ struct HgJoinReport {
 
 /// Evaluates a conjunctive query. With graph_intermediates the match
 /// graph is semijoin-reduced and traversed once; otherwise every plan
-/// folds binary hash joins over per-edge match-pair relations and the
-/// fastest plan is reported in `report`.
+/// folds binary hash joins over per-edge match-pair relations, the
+/// fastest plan's time is reported in `report`, and `stats` gets the
+/// join counters of the plan with the smallest intermediate size.
 QueryResult EvaluateHgJoin(const DataGraph& g, const IntervalIndex& idx,
                            const Gtpq& q, const HgJoinOptions& options,
                            EngineStats* stats, HgJoinReport* report);

@@ -1,9 +1,6 @@
 #include "cluster/partition.h"
 
 #include <algorithm>
-#include <memory>
-#include <unordered_map>
-#include <utility>
 
 #include "common/logging.h"
 #include "graph/graph_io.h"
@@ -83,9 +80,9 @@ Result<PartitionArtifacts> BuildPartition(
   const size_t shards = cuts.size() - 1;
 
   // One ShardedOracle build yields every piece the map replicates:
-  // per-shard sub-indexes, boundary vertices, cross edges, overlay
-  // contributions, and the closure — with semantics byte-identical to
-  // the in-process `sharded:` decorator the tests differentiate against.
+  // per-shard sub-indexes and the boundary overlay — with semantics
+  // byte-identical to the in-process `sharded:` decorator the tests
+  // differentiate against.
   ShardedOracleOptions oracle_options;
   oracle_options.num_shards = shards;
   oracle_options.inner_spec = options.inner_spec;
@@ -104,28 +101,7 @@ Result<PartitionArtifacts> BuildPartition(
   out.map.endpoints = options.endpoints.empty()
                           ? std::vector<std::string>(shards)
                           : options.endpoints;
-  out.map.boundary = oracle.boundary_vertices();
-  out.map.cross_edges = oracle.cross_edges();
-  out.map.shard_overlay = oracle.shard_overlay_contributions();
-  // The closure is not copyable (POD-array rows), so rebuild it from
-  // the exported machinery — the same digraph ShardedOracle closed.
-  {
-    std::unordered_map<NodeId, uint32_t> boundary_id;
-    boundary_id.reserve(out.map.boundary.size());
-    for (uint32_t b = 0; b < out.map.boundary.size(); ++b) {
-      boundary_id.emplace(out.map.boundary[b], b);
-    }
-    Digraph overlay(out.map.boundary.size());
-    for (const auto& [x, y] : out.map.cross_edges) {
-      overlay.AddEdge(boundary_id.at(x), boundary_id.at(y));
-    }
-    for (const auto& contribution : out.map.shard_overlay) {
-      for (const auto& [b1, b2] : contribution) overlay.AddEdge(b1, b2);
-    }
-    overlay.Finalize();
-    out.map.overlay_closure = std::make_shared<const TransitiveClosure>(
-        TransitiveClosure::Build(overlay));
-  }
+  out.map.overlay = oracle.overlay();  // shares the oracle's closure
 
   for (size_t s = 0; s < shards; ++s) {
     const size_t begin = cuts[s], end = cuts[s + 1];

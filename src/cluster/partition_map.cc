@@ -1,8 +1,6 @@
 #include "cluster/partition_map.h"
 
 #include <algorithm>
-#include <fstream>
-#include <iterator>
 
 #include "storage/index_io.h"
 #include "storage/serializer.h"
@@ -10,39 +8,8 @@
 namespace gtpq {
 namespace cluster {
 
-namespace {
-
 using storage::Reader;
 using storage::Writer;
-
-constexpr size_t kVersionOffset = 8;
-constexpr size_t kChecksummedOffset = 16;
-
-std::vector<uint32_t> FlattenPairs(
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
-  std::vector<uint32_t> flat;
-  flat.reserve(pairs.size() * 2);
-  for (const auto& [a, b] : pairs) {
-    flat.push_back(a);
-    flat.push_back(b);
-  }
-  return flat;
-}
-
-Status UnflattenPairs(std::vector<uint32_t> flat,
-                      std::vector<std::pair<uint32_t, uint32_t>>* out) {
-  if (flat.size() % 2 != 0) {
-    return Status::ParseError("odd-length pair run in partition map");
-  }
-  out->clear();
-  out->reserve(flat.size() / 2);
-  for (size_t i = 0; i < flat.size(); i += 2) {
-    out->emplace_back(flat[i], flat[i + 1]);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 size_t PartitionMap::ShardOf(NodeId v) const {
   // Ranges tile [0, n) in ascending order (Validate enforces it), so
@@ -60,8 +27,7 @@ Status PartitionMap::Validate() const {
     return Status::ParseError("partition map has no shards");
   }
   if (endpoints.size() != ranges.size() ||
-      shard_fingerprints.size() != ranges.size() ||
-      shard_overlay.size() != ranges.size()) {
+      shard_fingerprints.size() != ranges.size()) {
     return Status::ParseError(
         "partition map per-shard vectors disagree on the shard count");
   }
@@ -94,35 +60,11 @@ Status PartitionMap::Validate() const {
         "partition map covers " + std::to_string(ranges.back().end) +
         " of " + std::to_string(num_nodes) + " vertices");
   }
-  for (const NodeId v : boundary) {
-    if (v >= num_nodes) {
-      return Status::ParseError("partition map boundary vertex " +
-                                std::to_string(v) + " is out of range");
-    }
-  }
-  const uint32_t num_boundary = static_cast<uint32_t>(boundary.size());
-  for (const auto& [x, y] : cross_edges) {
-    if (x >= num_nodes || y >= num_nodes) {
-      return Status::ParseError("partition map cross edge out of range");
-    }
-  }
-  for (const auto& overlay : shard_overlay) {
-    for (const auto& [b1, b2] : overlay) {
-      if (b1 >= num_boundary || b2 >= num_boundary) {
-        return Status::ParseError(
-            "partition map overlay contribution indexes a boundary vertex "
-            "that does not exist");
-      }
-    }
-  }
-  if (overlay_closure == nullptr) {
-    return Status::ParseError("partition map is missing the overlay closure");
-  }
-  return Status::OK();
+  return overlay.Validate(num_shards(), num_nodes);
 }
 
 Status SavePartitionMap(const PartitionMap& map, const std::string& path) {
-  if (map.overlay_closure == nullptr) {
+  if (map.overlay.closure == nullptr) {
     return Status::InvalidArgument(
         "partition map needs an overlay closure before saving (an empty "
         "boundary still has an empty closure)");
@@ -142,69 +84,18 @@ Status SavePartitionMap(const PartitionMap& map, const std::string& path) {
     body.WriteString(endpoint);
   }
   for (const uint64_t fp : map.shard_fingerprints) body.WriteU64(fp);
-  body.WritePodVec(map.boundary);
-  body.WritePodVec(FlattenPairs(map.cross_edges));
-  for (const auto& overlay : map.shard_overlay) {
-    body.WritePodVec(FlattenPairs(overlay));
-  }
-  map.overlay_closure->SaveBody(&body);
+  map.overlay.Save(&body);
 
-  const uint32_t crc =
-      storage::Crc32(body.buffer().data(), body.buffer().size());
-  Writer prologue;
-  prologue.WriteBytes(kMapMagic.data(), kMapMagic.size());
-  prologue.WriteU32(kMapFormatVersion);
-  prologue.WriteU32(crc);
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::NotFound("cannot create map file: " + path);
-  out.write(prologue.buffer().data(),
-            static_cast<std::streamsize>(prologue.buffer().size()));
-  out.write(body.buffer().data(),
-            static_cast<std::streamsize>(body.buffer().size()));
-  out.close();
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::OK();
+  return storage::WriteFramedFile(path, kMapMagic, kMapFormatVersion,
+                                  {&body});
 }
 
 Result<PartitionMap> LoadPartitionMap(const std::string& path) {
   std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::NotFound("cannot open map file: " + path);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    if (in.bad()) return Status::Internal("read failed: " + path);
-  }
-  if (bytes.size() < kChecksummedOffset) {
-    return Status::ParseError("map file too short (" +
-                              std::to_string(bytes.size()) + " bytes): " +
-                              path);
-  }
-  if (std::string_view(bytes.data(), kMapMagic.size()) != kMapMagic) {
-    return Status::ParseError("bad magic: not a gtpq partition map: " +
-                              path);
-  }
-  Reader prologue(std::string_view(bytes.data() + kVersionOffset,
-                                   kChecksummedOffset - kVersionOffset));
-  uint32_t version = 0, stored_crc = 0;
-  GTPQ_RETURN_NOT_OK(prologue.ReadU32(&version));
-  GTPQ_RETURN_NOT_OK(prologue.ReadU32(&stored_crc));
-  if (version != kMapFormatVersion) {
-    return Status::FailedPrecondition(
-        "map format version mismatch: file has v" + std::to_string(version) +
-        ", this build reads v" + std::to_string(kMapFormatVersion) + ": " +
-        path);
-  }
-  const uint32_t actual_crc =
-      storage::Crc32(bytes.data() + kChecksummedOffset,
-                     bytes.size() - kChecksummedOffset);
-  if (actual_crc != stored_crc) {
-    return Status::ParseError(
-        "map checksum mismatch (truncated or corrupted file): " + path);
-  }
-
-  Reader r(std::string_view(bytes).substr(kChecksummedOffset));
+  GTPQ_RETURN_NOT_OK(storage::ReadWholeFile(path, "map", &bytes));
+  GTPQ_RETURN_NOT_OK(storage::CheckFraming(bytes, kMapMagic,
+                                           kMapFormatVersion, "map", path));
+  Reader r(std::string_view(bytes).substr(storage::kFramedOffset));
   r.set_pod_align(true);
   PartitionMap map;
   GTPQ_RETURN_NOT_OK(r.ReadU64(&map.graph_fingerprint));
@@ -230,20 +121,9 @@ Result<PartitionMap> LoadPartitionMap(const std::string& path) {
   for (uint64_t& fp : map.shard_fingerprints) {
     GTPQ_RETURN_NOT_OK(r.ReadU64(&fp));
   }
-  GTPQ_RETURN_NOT_OK(r.ReadPodVec(&map.boundary));
-  std::vector<uint32_t> flat;
-  GTPQ_RETURN_NOT_OK(r.ReadPodVec(&flat));
-  GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &map.cross_edges));
-  map.shard_overlay.resize(map.ranges.size());
-  for (auto& overlay : map.shard_overlay) {
-    flat.clear();
-    GTPQ_RETURN_NOT_OK(r.ReadPodVec(&flat));
-    GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &overlay));
-  }
-  auto closure = TransitiveClosure::LoadBody(&r);
-  GTPQ_RETURN_NOT_OK(closure.status());
-  map.overlay_closure =
-      std::make_shared<const TransitiveClosure>(closure.TakeValue());
+  auto overlay = BoundaryOverlay::Load(&r, map.num_shards(), map.num_nodes);
+  GTPQ_RETURN_NOT_OK(overlay.status());
+  map.overlay = overlay.TakeValue();
   GTPQ_RETURN_NOT_OK(r.ExpectEnd());
   GTPQ_RETURN_NOT_OK(map.Validate());
   return map;

@@ -2,15 +2,13 @@
 #define GTPQ_CLUSTER_PARTITION_MAP_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/digraph.h"
-#include "reachability/transitive_closure.h"
+#include "reachability/boundary_overlay.h"
 
 namespace gtpq {
 namespace cluster {
@@ -30,23 +28,20 @@ namespace cluster {
 ///               S x     string shard endpoint ("host:port")
 ///               S x     u64 fingerprint of the shard's induced local
 ///                       subgraph (what its .gtpqidx is stamped with)
-///               vec     boundary vertices (global NodeIds, ascending)
-///               vec     cross-shard edges (interleaved u32 global pairs)
-///               S x     vec per-shard overlay contribution (interleaved
-///                       u32 boundary-index pairs)
-///               ...     replicated boundary-overlay TransitiveClosure
-///                       (TransitiveClosure::SaveBody)
+///               ...     boundary overlay block (BoundaryOverlay::Save:
+///                       boundary, cross edges, S contributions, closure)
 ///
 /// The map is everything a router needs to answer cross-shard
 /// reachability without touching a shard: range ownership for id
-/// translation, the boundary overlay closure for exit->entry hops, and
-/// the per-shard contributions + cross edges to REBUILD that closure
-/// after a routed update changes one shard's boundary connectivity.
+/// translation, the overlay closure for exit->entry hops, and the
+/// per-shard contributions + cross edges to REBUILD that closure after a
+/// routed update changes one shard's boundary connectivity.
 ///
 /// Load rejects, with a clean Status: wrong magic, version mismatch,
 /// checksum mismatch, overlapping shard ranges, ranges that leave a
-/// vertex uncovered, and per-shard layout miscounts. Save writes the
-/// struct verbatim (no validation), so tests can author bad maps.
+/// vertex uncovered, per-shard layout miscounts, and an inconsistent
+/// overlay (BoundaryOverlay::Validate). Save writes the struct verbatim
+/// (no validation), so tests can author bad maps.
 inline constexpr std::string_view kMapMagic = "GTPQMAP\n";
 inline constexpr uint32_t kMapFormatVersion = 1;
 inline constexpr std::string_view kMapFileExtension = ".gtpqmap";
@@ -72,20 +67,17 @@ struct PartitionMap {
   /// shard's own .gtpqidx must be stamped with.
   std::vector<uint64_t> shard_fingerprints;
 
-  // Boundary machinery (mirrors ShardedOracle; see its class comment).
-  std::vector<NodeId> boundary;
-  std::vector<std::pair<NodeId, NodeId>> cross_edges;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> shard_overlay;
-  /// Closure of (cross edges + all contributions) over boundary ids.
-  std::shared_ptr<const TransitiveClosure> overlay_closure;
+  /// The cut's boundary overlay, as the partitioner's ShardedOracle
+  /// built it.
+  BoundaryOverlay overlay;
 
   size_t num_shards() const { return ranges.size(); }
   /// Owning shard of a global vertex; num_shards() when uncovered.
   size_t ShardOf(NodeId v) const;
 
   /// Structural consistency: >= 1 shard, ranges ascending and exactly
-  /// tiling [0, num_nodes), per-shard vector sizes agreeing, boundary/
-  /// overlay indices in range. Load runs this; builders may too.
+  /// tiling [0, num_nodes), per-shard vector sizes agreeing, and a
+  /// consistent overlay. Load runs this; builders may too.
   Status Validate() const;
 };
 

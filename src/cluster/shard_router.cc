@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "dynamic/graph_delta.h"
-#include "graph/digraph.h"
 #include "obs/trace.h"
 
 namespace gtpq {
@@ -19,20 +18,7 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
       health_interval_ms_(options.health_interval_ms),
       health_failure_threshold_(options.health_failure_threshold),
       name_("cluster:" + map_.inner_spec) {
-  boundary_id_.reserve(map_.boundary.size());
-  for (uint32_t b = 0; b < map_.boundary.size(); ++b) {
-    boundary_id_.emplace(map_.boundary[b], b);
-  }
-  shard_boundary_.resize(map_.num_shards());
-  for (uint32_t b = 0; b < map_.boundary.size(); ++b) {
-    shard_boundary_[map_.ShardOf(map_.boundary[b])].push_back(b);
-  }
-  cross_b_.reserve(map_.cross_edges.size());
-  for (const auto& [x, y] : map_.cross_edges) {
-    cross_b_.emplace_back(boundary_id_.at(x), boundary_id_.at(y));
-  }
-  contributions_ = map_.shard_overlay;
-  closure_ = map_.overlay_closure;
+  overlay_ = std::make_shared<const BoundaryOverlay>(map_.overlay);
   shard_epochs_.assign(map_.num_shards(), 0);
 
   obs::Registry& reg = obs::Registry::Global();
@@ -140,9 +126,9 @@ void ShardRouter::DropClient(size_t shard) const {
   }
 }
 
-std::shared_ptr<const TransitiveClosure> ShardRouter::closure() const {
-  std::lock_guard<std::mutex> lock(closure_mutex_);
-  return closure_;
+std::shared_ptr<const BoundaryOverlay> ShardRouter::overlay() const {
+  std::lock_guard<std::mutex> lock(overlay_mutex_);
+  return overlay_;
 }
 
 std::vector<uint64_t> ShardRouter::shard_epochs() const {
@@ -153,10 +139,14 @@ std::vector<uint64_t> ShardRouter::shard_epochs() const {
 Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
                                        size_t sv) const {
   const bool same = su == sv;
+  const std::shared_ptr<const BoundaryOverlay> overlay = this->overlay();
+  const std::vector<NodeId>& boundary = overlay->boundary;
+  const auto exit_ids = BoundaryIds(*overlay, su);
+  const auto entry_ids = BoundaryIds(*overlay, sv);
   // A cross-shard path must leave through an exit of su and arrive
   // through an entry of sv; a shard with no boundary admits neither.
-  if (!same &&
-      (shard_boundary_[su].empty() || shard_boundary_[sv].empty())) {
+  if (!same && (exit_ids.first == exit_ids.second ||
+                entry_ids.first == entry_ids.second)) {
     return false;
   }
 
@@ -177,16 +167,16 @@ Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
   fwd.trace_id = trace.trace_id;
   fwd.parent_span = fwd_span;
   if (same) fwd.ids.push_back(LocalId(to, sv));
-  for (uint32_t b : shard_boundary_[su]) {
-    fwd.ids.push_back(LocalId(map_.boundary[b], su));
+  for (uint32_t b = exit_ids.first; b < exit_ids.second; ++b) {
+    fwd.ids.push_back(LocalId(boundary[b], su));
   }
   net::ProbeRequest rev;
   rev.reverse = true;
   rev.pivot = LocalId(to, sv);
   rev.trace_id = trace.trace_id;
   rev.parent_span = rev_span;
-  for (uint32_t b : shard_boundary_[sv]) {
-    rev.ids.push_back(LocalId(map_.boundary[b], sv));
+  for (uint32_t b = entry_ids.first; b < entry_ids.second; ++b) {
+    rev.ids.push_back(LocalId(boundary[b], sv));
   }
 
   net::NetClient* cu = Client(su);
@@ -266,34 +256,20 @@ Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
   const size_t off = same ? 1 : 0;
   if (same && fr.Get(0)) return true;
 
-  // Exits of `from`: boundaries it reaches intra-shard, plus itself
-  // (zero-length exit) when it is one — Reaches(from, from) must not
-  // require a cycle here, mirroring ShardedOracle.
   std::vector<uint32_t> exits;
-  for (size_t i = 0; i < shard_boundary_[su].size(); ++i) {
-    const uint32_t b = shard_boundary_[su][i];
-    if (map_.boundary[b] == from || fr.Get(off + i)) exits.push_back(b);
-  }
+  overlay->CollectPorts(
+      exit_ids, from,
+      [&](uint32_t b) { return fr.Get(off + b - exit_ids.first); }, &exits);
   if (exits.empty()) return false;
   std::vector<uint32_t> entries;
-  for (size_t i = 0; i < shard_boundary_[sv].size(); ++i) {
-    const uint32_t b = shard_boundary_[sv][i];
-    if (map_.boundary[b] == to || rr.Get(i)) entries.push_back(b);
-  }
+  overlay->CollectPorts(
+      entry_ids, to, [&](uint32_t b) { return rr.Get(b - entry_ids.first); },
+      &entries);
   if (entries.empty()) return false;
-
-  const std::shared_ptr<const TransitiveClosure> closure = this->closure();
-  for (uint32_t b1 : exits) {
-    for (uint32_t b2 : entries) {
-      if (closure->Reaches(b1, b2)) {
-        // Answered by the replicated overlay closure — no further wire
-        // traffic needed.
-        closure_hits_->Add();
-        return true;
-      }
-    }
-  }
-  return false;
+  if (!overlay->Connects(exits, entries)) return false;
+  // Answered by the replicated overlay — no further wire traffic.
+  closure_hits_->Add();
+  return true;
 }
 
 bool ShardRouter::Reaches(NodeId from, NodeId to) const {
@@ -326,6 +302,7 @@ Status RejectStructural(const std::string& what) {
 
 Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
   std::lock_guard<std::mutex> update_lock(update_mutex_);
+  const std::shared_ptr<const BoundaryOverlay> current = overlay();
 
   if (!batch.add_nodes.empty()) {
     return RejectStructural("node additions");
@@ -361,7 +338,7 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
       return Status::InvalidArgument("update removes unknown vertex " +
                                      std::to_string(v));
     }
-    if (boundary_id_.count(v) != 0) {
+    if (current->IdOf(v) != BoundaryOverlay::kNotBoundary) {
       return RejectStructural("boundary-vertex removals");
     }
     GTPQ_RETURN_NOT_OK(claim(map_.ShardOf(v)));
@@ -399,16 +376,16 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
 
     // The shard's intra-shard reachability changed; re-probe its
     // boundary-to-boundary contribution (pipelined, one probe per exit
-    // boundary) and rebuild the replicated closure before any other
+    // boundary) and publish the successor overlay before any other
     // shard — or any later query — can observe the new epoch.
-    const std::vector<uint32_t>& bs = shard_boundary_[owner];
+    const auto [first, last] = BoundaryIds(*current, owner);
     std::vector<NodeId> locals;
-    locals.reserve(bs.size());
-    for (uint32_t b : bs) {
-      locals.push_back(LocalId(map_.boundary[b], owner));
+    locals.reserve(last - first);
+    for (uint32_t b = first; b < last; ++b) {
+      locals.push_back(LocalId(current->boundary[b], owner));
     }
     std::vector<uint64_t> request_ids;
-    request_ids.reserve(bs.size());
+    request_ids.reserve(locals.size());
     for (const NodeId pivot : locals) {
       net::ProbeRequest request;
       request.reverse = false;
@@ -421,8 +398,8 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
       }
       request_ids.push_back(*id);
     }
-    std::vector<std::pair<uint32_t, uint32_t>> contribution;
-    for (size_t i = 0; i < bs.size(); ++i) {
+    BoundaryOverlay::IdPairs contribution;
+    for (size_t i = 0; i < locals.size(); ++i) {
       net::ProbeResult result;
       auto payload = client->WaitForResponse(request_ids[i],
                                              net::FrameType::kProbeResult);
@@ -431,15 +408,21 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
         return payload.status();
       }
       GTPQ_RETURN_NOT_OK(net::DecodeProbeResult(*payload, &result));
-      if (result.count != bs.size()) {
+      if (result.count != locals.size()) {
         return Status::ParseError("contribution probe count mismatch");
       }
-      for (size_t j = 0; j < bs.size(); ++j) {
-        if (result.Get(j)) contribution.emplace_back(bs[i], bs[j]);
+      for (size_t j = 0; j < locals.size(); ++j) {
+        if (result.Get(j)) {
+          contribution.emplace_back(static_cast<uint32_t>(first + i),
+                                    static_cast<uint32_t>(first + j));
+        }
       }
     }
-    contributions_[owner] = std::move(contribution);
-    RebuildClosure();
+    auto next = std::make_shared<BoundaryOverlay>(*current);
+    next->contributions[owner] = std::move(contribution);
+    next->Close();
+    std::lock_guard<std::mutex> lock(overlay_mutex_);
+    overlay_ = std::move(next);
   }
 
   // Epoch barrier: every shard that did not apply the batch commits one
@@ -608,19 +591,6 @@ void ShardRouter::ProberLoop() {
                         std::chrono::milliseconds(health_interval_ms_),
                         [this] { return prober_stop_; });
   }
-}
-
-void ShardRouter::RebuildClosure() const {
-  Digraph overlay(map_.boundary.size());
-  for (const auto& [b1, b2] : cross_b_) overlay.AddEdge(b1, b2);
-  for (const auto& contribution : contributions_) {
-    for (const auto& [b1, b2] : contribution) overlay.AddEdge(b1, b2);
-  }
-  overlay.Finalize();
-  auto next = std::make_shared<const TransitiveClosure>(
-      TransitiveClosure::Build(overlay));
-  std::lock_guard<std::mutex> lock(closure_mutex_);
-  closure_ = std::move(next);
 }
 
 }  // namespace cluster

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,8 +16,8 @@
 #include "net/client.h"
 #include "obs/federation.h"
 #include "obs/metrics.h"
+#include "reachability/boundary_overlay.h"
 #include "reachability/reachability_index.h"
-#include "reachability/transitive_closure.h"
 
 namespace gtpq {
 namespace cluster {
@@ -40,11 +39,11 @@ struct ShardRouterOptions {
 /// Scatter-gather reachability over a cluster of `gteactl serve`
 /// processes, one per contiguous vertex shard of a PartitionMap.
 ///
-/// The router replicates only the map's boundary machinery (boundary
-/// vertex ids, cross edges, per-shard overlay contributions, and the
-/// overlay transitive closure); per-shard labelings live in the shard
-/// processes and are consulted through pipelined gtpq-wire PROBE
-/// frames. Reaches(u, v) mirrors ShardedOracle exactly:
+/// The router replicates only the map's boundary overlay
+/// (reachability/boundary_overlay.h); per-shard labelings live in the
+/// shard processes and are consulted through pipelined gtpq-wire PROBE
+/// frames. Reaches(u, v) mirrors ShardedOracle exactly; only the
+/// transport differs:
 ///
 ///  * same shard — one forward probe answers "u reaches v intra-shard"
 ///    and "u reaches each shard boundary" in a single round trip
@@ -52,8 +51,8 @@ struct ShardRouterOptions {
 ///    probe on the same connection;
 ///  * cross shard — a forward probe on u's shard (exits) and a reverse
 ///    probe on v's shard (entries) fly concurrently on two
-///    connections, then exits x entries are folded through the local
-///    closure with zero further wire traffic.
+///    connections, then exits x entries are folded through the
+///    replicated overlay with zero further wire traffic.
 ///
 /// Wire failures cannot be reported through the bool probe interface,
 /// so a failed probe logs a warning, drops the connection (the next
@@ -63,7 +62,7 @@ struct ShardRouterOptions {
 /// SharedEngineFactory routes APPLY_UPDATES here instead of wrapping
 /// the router in a delta overlay. ApplyNativeUpdate applies the batch
 /// on the owning shard, re-probes that shard's boundary-to-boundary
-/// contribution, rebuilds the replicated closure, and then commits an
+/// contribution, publishes a successor overlay, and then commits an
 /// epoch barrier: every other shard receives one empty batch so all
 /// shard epochs advance in lockstep and no later probe can observe
 /// mixed shard epochs. Batches that would change the partition
@@ -72,7 +71,7 @@ struct ShardRouterOptions {
 /// before any shard is touched.
 ///
 /// Thread safety: probes may run concurrently from any thread
-/// (connections are per-thread, the closure swap is a locked
+/// (connections are per-thread, the overlay swap is a locked
 /// shared_ptr exchange); ApplyNativeUpdate serializes against itself
 /// and must not run concurrently with probes that require a stable
 /// epoch — the serving layer's serial update dispatcher provides
@@ -135,12 +134,13 @@ class ShardRouter : public ReachabilityOracle,
   NodeId LocalId(NodeId v, size_t shard) const {
     return v - static_cast<NodeId>(map_.ranges[shard].begin);
   }
+  std::pair<uint32_t, uint32_t> BoundaryIds(const BoundaryOverlay& overlay,
+                                            size_t shard) const {
+    return overlay.IdRange(map_.ranges[shard].begin, map_.ranges[shard].end);
+  }
   Result<bool> ProbeCluster(NodeId from, NodeId to, size_t su,
                             size_t sv) const;
-  std::shared_ptr<const TransitiveClosure> closure() const;
-  /// Rebuilds the replicated overlay closure from cross edges + the
-  /// (possibly just-updated) per-shard contributions.
-  void RebuildClosure() const;
+  std::shared_ptr<const BoundaryOverlay> overlay() const;
   void StartProber();
   void ProberLoop();
 
@@ -151,18 +151,12 @@ class ShardRouter : public ReachabilityOracle,
   int health_failure_threshold_;
   std::string name_;
 
-  // Immutable probe-side structure derived from the map.
-  std::unordered_map<NodeId, uint32_t> boundary_id_;
-  std::vector<std::vector<uint32_t>> shard_boundary_;  // boundary ids
-  std::vector<std::pair<uint32_t, uint32_t>> cross_b_;  // boundary ids
-
-  // Mutable replica state (updates only; probes read the closure via a
+  // Replicated overlay: the map's, then a successor per routed update
+  // (updates serialize on update_mutex_; probes pin one snapshot via a
   // locked shared_ptr copy).
   mutable std::mutex update_mutex_;
-  mutable std::vector<std::vector<std::pair<uint32_t, uint32_t>>>
-      contributions_;
-  mutable std::mutex closure_mutex_;
-  mutable std::shared_ptr<const TransitiveClosure> closure_;
+  mutable std::mutex overlay_mutex_;
+  mutable std::shared_ptr<const BoundaryOverlay> overlay_;
   mutable std::mutex epoch_mutex_;
   mutable std::vector<uint64_t> shard_epochs_;
 

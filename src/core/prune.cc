@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "common/logging.h"
@@ -15,6 +16,35 @@ namespace {
 // more than one item per lane, never more than the query budget.
 size_t LanesFor(const ParallelEvalContext* ctx, size_t n) {
   return std::min(ctx->lanes, n);
+}
+
+// Runs chunk(begin, end, &out, &input_nodes) over n items split into
+// contiguous lane chunks and returns the lane outputs concatenated in
+// lane order, which reproduces the serial output exactly; the lanes'
+// input_nodes are added to stats. Lane 0 runs on the caller (one lane
+// is the serial path). When `probed` is set, helper lanes export the
+// oracle counters they produce (OracleLaneScope).
+template <typename Chunk>
+std::vector<NodeId> ParallelCollect(size_t n,
+                                    const ReachabilityOracle* probed,
+                                    ParallelEvalContext* ctx,
+                                    EngineStats* stats, const Chunk& chunk) {
+  const size_t lanes = std::max<size_t>(LanesFor(ctx, n), 1);
+  std::vector<std::vector<NodeId>> lane_out(lanes);
+  std::vector<uint64_t> lane_nodes(lanes, 0);
+  ParallelRun(lanes, [&](size_t lane) {
+    std::optional<OracleLaneScope> scope;
+    if (probed != nullptr) scope.emplace(*probed, lane, ctx);
+    auto [begin, end] = LaneChunk(n, lane, lanes);
+    chunk(begin, end, &lane_out[lane], &lane_nodes[lane]);
+  });
+  for (uint64_t nodes : lane_nodes) stats->input_nodes += nodes;
+  if (lanes == 1) return std::move(lane_out[0]);
+  std::vector<NodeId> out;
+  for (const auto& part : lane_out) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
 }
 
 // True when the PC child must be evaluated exactly during pruning:
@@ -103,30 +133,8 @@ void PruneDownward(const DataGraph& g, const ReachabilityOracle& idx,
       }
     };
 
-    const size_t lanes = LanesFor(ctx, candidates.size());
-    if (lanes <= 1) {
-      std::vector<NodeId> kept;
-      uint64_t input_nodes = 0;
-      process_chunk(0, candidates.size(), &kept, &input_nodes);
-      stats->input_nodes += input_nodes;
-      candidates = std::move(kept);
-      continue;
-    }
-
-    std::vector<std::vector<NodeId>> lane_kept(lanes);
-    std::vector<uint64_t> lane_nodes(lanes, 0);
-    ParallelRun(lanes, [&](size_t lane) {
-      OracleLaneScope scope(idx, lane, ctx);
-      auto [begin, end] = LaneChunk(candidates.size(), lane, lanes);
-      process_chunk(begin, end, &lane_kept[lane], &lane_nodes[lane]);
-    });
-    std::vector<NodeId> kept;
-    kept.reserve(candidates.size());
-    for (size_t lane = 0; lane < lanes; ++lane) {
-      kept.insert(kept.end(), lane_kept[lane].begin(), lane_kept[lane].end());
-      stats->input_nodes += lane_nodes[lane];
-    }
-    candidates = std::move(kept);
+    candidates =
+        ParallelCollect(candidates.size(), &idx, ctx, stats, process_chunk);
   }
 }
 
@@ -178,10 +186,6 @@ bool PruneUpward(const DataGraph& g, const ReachabilityOracle& idx,
           // disjoint chunks of the parent set; the union is sorted
           // afterwards, so chunk boundaries cannot change the result.
           const auto& parents = (*mat)[u];
-          const size_t lanes = LanesFor(ctx, parents.size());
-          std::vector<std::vector<NodeId>> lane_union(
-              std::max<size_t>(lanes, 1));
-          std::vector<uint64_t> lane_nodes(std::max<size_t>(lanes, 1), 0);
           auto expand_chunk = [&](size_t begin, size_t end,
                                   std::vector<NodeId>* out,
                                   uint64_t* input_nodes) {
@@ -191,20 +195,8 @@ bool PruneUpward(const DataGraph& g, const ReachabilityOracle& idx,
               out->insert(out->end(), out_nbrs.begin(), out_nbrs.end());
             }
           };
-          if (lanes <= 1) {
-            expand_chunk(0, parents.size(), &lane_union[0], &lane_nodes[0]);
-          } else {
-            ParallelRun(lanes, [&](size_t lane) {
-              auto [begin, end] = LaneChunk(parents.size(), lane, lanes);
-              expand_chunk(begin, end, &lane_union[lane], &lane_nodes[lane]);
-            });
-          }
-          std::vector<NodeId> child_union;
-          for (size_t lane = 0; lane < lane_union.size(); ++lane) {
-            child_union.insert(child_union.end(), lane_union[lane].begin(),
-                               lane_union[lane].end());
-            stats->input_nodes += lane_nodes[lane];
-          }
+          std::vector<NodeId> child_union = ParallelCollect(
+              parents.size(), nullptr, ctx, stats, expand_chunk);
           std::sort(child_union.begin(), child_union.end());
           std::vector<NodeId> kept;
           std::set_intersection(cand.begin(), cand.end(),
@@ -228,30 +220,7 @@ bool PruneUpward(const DataGraph& g, const ReachabilityOracle& idx,
               if (reached[i]) kept->push_back(chunk[i]);
             }
           };
-          const size_t lanes = LanesFor(ctx, cand.size());
-          if (lanes <= 1) {
-            std::vector<NodeId> kept;
-            uint64_t input_nodes = 0;
-            refine_chunk(0, cand.size(), &kept, &input_nodes);
-            stats->input_nodes += input_nodes;
-            cand = std::move(kept);
-          } else {
-            std::vector<std::vector<NodeId>> lane_kept(lanes);
-            std::vector<uint64_t> lane_nodes(lanes, 0);
-            ParallelRun(lanes, [&](size_t lane) {
-              OracleLaneScope scope(idx, lane, ctx);
-              auto [begin, end] = LaneChunk(cand.size(), lane, lanes);
-              refine_chunk(begin, end, &lane_kept[lane], &lane_nodes[lane]);
-            });
-            std::vector<NodeId> kept;
-            kept.reserve(cand.size());
-            for (size_t lane = 0; lane < lanes; ++lane) {
-              kept.insert(kept.end(), lane_kept[lane].begin(),
-                          lane_kept[lane].end());
-              stats->input_nodes += lane_nodes[lane];
-            }
-            cand = std::move(kept);
-          }
+          cand = ParallelCollect(cand.size(), &idx, ctx, stats, refine_chunk);
         }
         if (cand.empty()) return false;
       }

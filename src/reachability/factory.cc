@@ -200,17 +200,11 @@ bool IsValidReachabilitySpec(std::string_view spec) {
     under_sharded = under_sharded || spec.rfind(kShardedPrefix, 0) == 0;
     spec = spec.substr(spec.find(':') + 1);
   }
-  if (spec.rfind(kFilePrefix, 0) == 0) {
-    if (file_forbidden) return false;
-    return storage::InspectReachabilityIndex(
-               std::string(spec.substr(kFilePrefix.size())))
-        .ok();
-  }
   // mmap: is file: with a zero-copy loader; same composition rules.
-  if (spec.rfind(kMmapPrefix, 0) == 0) {
+  if (spec.rfind(kFilePrefix, 0) == 0 || spec.rfind(kMmapPrefix, 0) == 0) {
     if (file_forbidden) return false;
     return storage::InspectReachabilityIndex(
-               std::string(spec.substr(kMmapPrefix.size())))
+               std::string(spec.substr(spec.find(':') + 1)))
         .ok();
   }
   // cluster: shares file:'s composition rules (a map is fingerprinted

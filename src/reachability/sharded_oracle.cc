@@ -34,30 +34,10 @@ ShardedOracle::ShardedOracle(const Digraph& g, ShardedOracleOptions options)
     }
   }
 
-  // Boundary vertices: endpoints of shard-crossing edges, in id order.
-  boundary_id_.assign(n, kNotBoundary);
-  std::vector<char> is_boundary(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId w : g.OutNeighbors(v)) {
-      if (ShardOf(v) != ShardOf(w)) {
-        cross_edges_.emplace_back(v, w);
-        is_boundary[v] = 1;
-        is_boundary[w] = 1;
-      }
-    }
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_boundary[v]) {
-      boundary_id_[v] = static_cast<uint32_t>(boundary_.size());
-      boundary_.push_back(v);
-    }
-  }
-
+  overlay_ = BoundaryOverlay::Derive(g, shard_start_);
   sub_.resize(num_shards_);
-  shard_boundaries_.resize(num_shards_);
-  shard_overlay_.resize(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) BuildShard(g, s);
-  BuildOverlay();
+  overlay_.Close();
 }
 
 size_t ShardedOracle::ShardOf(NodeId v) const {
@@ -86,46 +66,27 @@ void ShardedOracle::BuildShard(const Digraph& g, size_t shard) {
   sub_[shard] = MakeReachabilityIndex(inner_spec_, local);
   GTPQ_CHECK(sub_[shard] != nullptr);
 
-  auto& bs = shard_boundaries_[shard];
-  bs.clear();
-  for (NodeId v = start; v < end; ++v) {
-    if (boundary_id_[v] != kNotBoundary) bs.push_back(boundary_id_[v]);
-  }
-
   // Overlay contribution: intra-shard reachability between this shard's
-  // boundary vertices. The diagonal (b -> b on an intra-shard cycle)
-  // matters: it turns into an overlay self-loop so the closure keeps
-  // the cyclic-self-reachability semantics.
-  auto& overlay = shard_overlay_[shard];
-  overlay.clear();
-  for (uint32_t b1 : bs) {
-    const NodeId l1 = LocalId(boundary_[b1], shard);
-    for (uint32_t b2 : bs) {
-      if (sub_[shard]->Reaches(l1, LocalId(boundary_[b2], shard))) {
-        overlay.emplace_back(b1, b2);
+  // boundary vertices, diagonal included (see BoundaryOverlay).
+  const auto [first, last] = BoundaryIds(shard);
+  const std::vector<NodeId>& boundary = overlay_.boundary;
+  BoundaryOverlay::IdPairs contribution;
+  for (uint32_t b1 = first; b1 < last; ++b1) {
+    const NodeId l1 = LocalId(boundary[b1], shard);
+    for (uint32_t b2 = first; b2 < last; ++b2) {
+      if (sub_[shard]->Reaches(l1, LocalId(boundary[b2], shard))) {
+        contribution.emplace_back(b1, b2);
       }
     }
   }
-}
-
-void ShardedOracle::BuildOverlay() {
-  Digraph overlay(boundary_.size());
-  for (const auto& [x, y] : cross_edges_) {
-    overlay.AddEdge(boundary_id_[x], boundary_id_[y]);
-  }
-  for (const auto& shard_edges : shard_overlay_) {
-    for (const auto& [b1, b2] : shard_edges) overlay.AddEdge(b1, b2);
-  }
-  overlay.Finalize();
-  overlay_closure_ =
-      std::make_unique<TransitiveClosure>(TransitiveClosure::Build(overlay));
+  overlay_.contributions[shard] = std::move(contribution);
 }
 
 void ShardedOracle::RebuildShard(const Digraph& g, size_t shard) {
   GTPQ_CHECK(shard < num_shards_);
-  GTPQ_CHECK(g.NumNodes() == boundary_id_.size());
+  GTPQ_CHECK(g.NumNodes() == shard_start_.back());
   BuildShard(g, shard);
-  BuildOverlay();
+  overlay_.Close();
 }
 
 bool ShardedOracle::Reaches(NodeId from, NodeId to) const {
@@ -147,81 +108,39 @@ bool ShardedOracle::Reaches(NodeId from, NodeId to) const {
   const NodeId lu = LocalId(from, su);
   const NodeId lv = LocalId(to, sv);
   if (su == sv && probe(*sub_[su], lu, lv)) return true;
-  if (boundary_.empty()) return false;
 
-  // Boundary exits of `from`: boundaries of its shard it reaches
-  // intra-shard, plus itself (zero-length exit) when it is one.
+  // Exits of `from` through its own sub-index, then entries of `to`
+  // through its; a shard without boundary vertices admits neither.
+  const std::vector<NodeId>& boundary = overlay_.boundary;
   ProbeScratch& scratch = scratch_.Local();
-  std::vector<uint32_t>& exits = scratch.exits;
-  exits.clear();
-  for (uint32_t b : shard_boundaries_[su]) {
-    if (boundary_[b] == from || probe(*sub_[su], lu, LocalId(boundary_[b], su))) {
-      exits.push_back(b);
-    }
-  }
-  if (exits.empty()) return false;
+  overlay_.CollectPorts(
+      BoundaryIds(su), from,
+      [&](uint32_t b) {
+        return probe(*sub_[su], lu, LocalId(boundary[b], su));
+      },
+      &scratch.exits);
+  if (scratch.exits.empty()) return false;
+  overlay_.CollectPorts(
+      BoundaryIds(sv), to,
+      [&](uint32_t b) {
+        return probe(*sub_[sv], LocalId(boundary[b], sv), lv);
+      },
+      &scratch.entries);
+  if (scratch.entries.empty()) return false;
 
-  std::vector<uint32_t>& entries = scratch.entries;
-  entries.clear();
-  for (uint32_t b : shard_boundaries_[sv]) {
-    if (boundary_[b] == to || probe(*sub_[sv], LocalId(boundary_[b], sv), lv)) {
-      entries.push_back(b);
-    }
-  }
-  if (entries.empty()) return false;
-
-  for (uint32_t b1 : exits) {
-    for (uint32_t b2 : entries) {
-      if (probe(*overlay_closure_, b1, b2)) return true;
-    }
-  }
-  return false;
+  const TransitiveClosure& closure = *overlay_.closure;
+  const uint64_t before = closure.stats().elements_looked_up;
+  const bool connected = overlay_.Connects(scratch.exits, scratch.entries);
+  st.elements_looked_up += closure.stats().elements_looked_up - before;
+  return connected;
 }
-
-namespace {
-
-// std::pair is not trivially copyable under libstdc++, so pair vectors
-// are flattened to interleaved u32 runs for the pod-vector codec.
-std::vector<uint32_t> FlattenPairs(
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
-  std::vector<uint32_t> flat;
-  flat.reserve(pairs.size() * 2);
-  for (const auto& [a, b] : pairs) {
-    flat.push_back(a);
-    flat.push_back(b);
-  }
-  return flat;
-}
-
-Status UnflattenPairs(std::vector<uint32_t> flat,
-                      std::vector<std::pair<uint32_t, uint32_t>>* out) {
-  if (flat.size() % 2 != 0) {
-    return Status::ParseError("odd-length pair run in sharded section");
-  }
-  out->clear();
-  out->reserve(flat.size() / 2);
-  for (size_t i = 0; i < flat.size(); i += 2) {
-    out->emplace_back(flat[i], flat[i + 1]);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 void ShardedOracle::SaveBody(storage::Writer* w) const {
   w->WriteU64(num_shards_);
   w->WriteString(inner_spec_);
   std::vector<uint64_t> starts(shard_start_.begin(), shard_start_.end());
   w->WritePodVec(starts);
-  w->WritePodVec(boundary_);
-  w->WritePodVec(boundary_id_);
-  w->WriteNestedVec(shard_boundaries_);
-  w->WritePodVec(FlattenPairs(cross_edges_));
-  w->WriteU64(shard_overlay_.size());
-  for (const auto& overlay : shard_overlay_) {
-    w->WritePodVec(FlattenPairs(overlay));
-  }
-  overlay_closure_->SaveBody(w);
+  overlay_.Save(w);
   for (const auto& sub : sub_) {
     // Sub-indexes were built through the factory, so this dispatch
     // cannot hit an unknown spec.
@@ -234,38 +153,19 @@ Result<std::unique_ptr<ShardedOracle>> ShardedOracle::LoadBody(
   auto oracle = std::unique_ptr<ShardedOracle>(new ShardedOracle());
   uint64_t num_shards = 0;
   GTPQ_RETURN_NOT_OK(r->ReadU64(&num_shards));
-  oracle->num_shards_ = static_cast<size_t>(num_shards);
   GTPQ_RETURN_NOT_OK(r->ReadString(&oracle->inner_spec_));
   oracle->name_ = "sharded:" + oracle->inner_spec_;
   std::vector<uint64_t> starts;
   GTPQ_RETURN_NOT_OK(r->ReadPodVec(&starts));
-  oracle->shard_start_.assign(starts.begin(), starts.end());
-  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&oracle->boundary_));
-  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&oracle->boundary_id_));
-  GTPQ_RETURN_NOT_OK(r->ReadNestedVec(&oracle->shard_boundaries_));
-  std::vector<uint32_t> flat;
-  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&flat));
-  GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &oracle->cross_edges_));
-  uint64_t num_overlays = 0;
-  GTPQ_RETURN_NOT_OK(r->ReadU64(&num_overlays));
-  if (num_overlays != num_shards) {
-    return Status::ParseError("sharded section overlay count mismatch");
-  }
-  oracle->shard_overlay_.resize(static_cast<size_t>(num_overlays));
-  for (auto& overlay : oracle->shard_overlay_) {
-    flat.clear();
-    GTPQ_RETURN_NOT_OK(r->ReadPodVec(&flat));
-    GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &overlay));
-  }
-  auto closure = TransitiveClosure::LoadBody(r);
-  GTPQ_RETURN_NOT_OK(closure.status());
-  oracle->overlay_closure_ =
-      std::make_unique<TransitiveClosure>(closure.TakeValue());
-  if (oracle->num_shards_ == 0 ||
-      oracle->shard_start_.size() != oracle->num_shards_ + 1 ||
-      oracle->shard_boundaries_.size() != oracle->num_shards_) {
+  if (num_shards == 0 || starts.size() != num_shards + 1 ||
+      starts.front() != 0 || !std::is_sorted(starts.begin(), starts.end())) {
     return Status::ParseError("inconsistent sharded section layout");
   }
+  oracle->num_shards_ = static_cast<size_t>(num_shards);
+  oracle->shard_start_.assign(starts.begin(), starts.end());
+  auto overlay = BoundaryOverlay::Load(r, oracle->num_shards_, starts.back());
+  GTPQ_RETURN_NOT_OK(overlay.status());
+  oracle->overlay_ = overlay.TakeValue();
   oracle->sub_.resize(oracle->num_shards_);
   for (auto& sub : oracle->sub_) {
     auto loaded = storage::LoadOracleBody(oracle->inner_spec_, r);

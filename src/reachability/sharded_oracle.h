@@ -8,8 +8,8 @@
 
 #include "common/per_thread.h"
 #include "common/status.h"
+#include "reachability/boundary_overlay.h"
 #include "reachability/reachability_index.h"
-#include "reachability/transitive_closure.h"
 
 namespace gtpq {
 
@@ -36,25 +36,19 @@ struct ShardedOracleOptions {
 /// Partitioned reachability: vertices are split into contiguous-range
 /// shards, each carrying an independent sub-index over its induced
 /// subgraph; paths that cross shards are answered through a boundary
-/// overlay. The point is build economics on large graphs — when data
-/// changes land in one partition, only that shard's sub-index (plus the
-/// small overlay closure) is rebuilt (RebuildShard), instead of
-/// relabeling the whole graph.
+/// overlay (reachability/boundary_overlay.h). The point is build
+/// economics on large graphs — when data changes land in one
+/// partition, only that shard's sub-index (plus the small overlay
+/// closure) is rebuilt (RebuildShard), instead of relabeling the whole
+/// graph.
 ///
-/// Structure:
-///  * boundary vertices: endpoints of shard-crossing edges;
-///  * overlay graph over boundary vertices: the crossing edges, plus an
-///    edge b -> b' whenever b' is intra-shard reachable from b (so a
-///    cross-shard path contracts to an overlay path);
-///  * the overlay's transitive closure (it is small: boundaries only).
-///
-/// Reaches(u, v) holds iff v is intra-shard reachable from u, or some
-/// boundary exit of u (u itself when u is a boundary) reaches some
-/// boundary entry of v through the overlay. Cycles threading several
-/// shards condense into overlay cycles, so the Section-2 semantics
-/// (Reaches(v, v) only on a cycle) carry over exactly; the conformance
-/// suite checks this decorator against the materialized closure like
-/// any base backend.
+/// Reaches(u, v) holds iff v is intra-shard reachable from u, or the
+/// overlay connects an exit of u to an entry of v; the exits and
+/// entries are found by point probes on the local sub-indexes. Cycles
+/// threading several shards condense into overlay cycles, so the
+/// Section-2 semantics (Reaches(v, v) only on a cycle) carry over
+/// exactly; the conformance suite checks this decorator against the
+/// materialized closure like any base backend.
 ///
 /// Set-reachability uses the pairwise defaults of ReachabilityOracle.
 class ShardedOracle : public ReachabilityOracle {
@@ -69,26 +63,13 @@ class ShardedOracle : public ReachabilityOracle {
   size_t ShardSize(size_t shard) const {
     return shard_start_[shard + 1] - shard_start_[shard];
   }
-  size_t NumBoundaryVertices() const { return boundary_.size(); }
+  size_t NumBoundaryVertices() const { return overlay_.boundary.size(); }
   const ReachabilityOracle& shard_index(size_t shard) const {
     return *sub_[shard];
   }
-
-  // Boundary-machinery export (read-only) — the cluster partitioner
-  // serializes these into the .gtpqmap so a router can answer
-  // cross-shard probes from a replicated overlay without rebuilding it.
-  const std::vector<size_t>& shard_starts() const { return shard_start_; }
-  const std::vector<NodeId>& boundary_vertices() const { return boundary_; }
-  const std::vector<std::pair<NodeId, NodeId>>& cross_edges() const {
-    return cross_edges_;
-  }
-  const std::vector<std::vector<std::pair<uint32_t, uint32_t>>>&
-  shard_overlay_contributions() const {
-    return shard_overlay_;
-  }
-  const TransitiveClosure& overlay_closure() const {
-    return *overlay_closure_;
-  }
+  /// The cluster partitioner replicates this into the .gtpqmap, so a
+  /// router answers cross-shard probes without rebuilding it.
+  const BoundaryOverlay& overlay() const { return overlay_; }
 
   /// Rebuilds one shard's sub-index and the overlay rows it
   /// contributes, leaving every other shard's labeling untouched. `g`
@@ -102,9 +83,9 @@ class ShardedOracle : public ReachabilityOracle {
   void RebuildShard(const Digraph& g, size_t shard);
 
   /// Persistence hooks (storage/index_io.h): the body carries the shard
-  /// layout, one nested sub-index section per shard, the boundary
-  /// machinery, and the overlay closure, so a load reconstructs the
-  /// oracle without touching the graph.
+  /// cuts, the boundary overlay block, and one nested sub-index section
+  /// per shard, so a load reconstructs the oracle without touching the
+  /// graph.
   void SaveBody(storage::Writer* w) const;
   static Result<std::unique_ptr<ShardedOracle>> LoadBody(
       storage::Reader* r);
@@ -113,9 +94,11 @@ class ShardedOracle : public ReachabilityOracle {
   ShardedOracle() = default;
 
   void BuildShard(const Digraph& g, size_t shard);
-  void BuildOverlay();
   NodeId LocalId(NodeId v, size_t shard) const {
     return v - static_cast<NodeId>(shard_start_[shard]);
+  }
+  std::pair<uint32_t, uint32_t> BoundaryIds(size_t shard) const {
+    return overlay_.IdRange(shard_start_[shard], shard_start_[shard + 1]);
   }
 
   size_t num_shards_ = 1;
@@ -123,16 +106,7 @@ class ShardedOracle : public ReachabilityOracle {
   std::string name_;
   std::vector<size_t> shard_start_;  // size num_shards_+1, last = n
   std::vector<std::unique_ptr<ReachabilityOracle>> sub_;
-  // Boundary machinery. boundary_id_[v] indexes boundary_ or kNotBoundary.
-  static constexpr uint32_t kNotBoundary = static_cast<uint32_t>(-1);
-  std::vector<NodeId> boundary_;
-  std::vector<uint32_t> boundary_id_;
-  std::vector<std::vector<uint32_t>> shard_boundaries_;  // per shard
-  std::vector<std::pair<NodeId, NodeId>> cross_edges_;
-  // Per-shard overlay contributions (intra-shard boundary-to-boundary
-  // reachability), kept separately so RebuildShard replaces one slice.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> shard_overlay_;
-  std::unique_ptr<TransitiveClosure> overlay_closure_;
+  BoundaryOverlay overlay_;
   // Probe scratch (boundary exit/entry lists), thread-confined so
   // cross-shard probes allocate nothing on the hot path.
   struct ProbeScratch {

@@ -1,6 +1,5 @@
 #include "storage/index_io.h"
 
-#include <fstream>
 #include <utility>
 
 #include "dynamic/delta_overlay.h"
@@ -24,54 +23,15 @@ constexpr std::string_view kCachedPrefix = "cached:";
 constexpr std::string_view kShardedPrefix = "sharded:";
 constexpr std::string_view kDeltaPrefix = "delta:";
 
-// Offsets within the fixed file prologue (see index_io.h): magic,
-// then u32 version at 8, u32 CRC at 12, checksummed bytes from 16.
-constexpr size_t kVersionOffset = 8;
-constexpr size_t kChecksummedOffset = 16;
-
-Status ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open index file: " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::Internal("read failed: " + path);
-  return Status::OK();
-}
-
-/// Validates the fixed prologue and the checksum, leaving `r` positioned
-/// at the spec string. Fills every IndexFileInfo field except payload
-/// parsing side effects.
+/// Validates the framing, leaving `r` positioned at the spec string.
+/// Fills every IndexFileInfo field except payload parsing side effects.
 Status OpenHeader(std::string_view bytes, const std::string& path,
                   IndexFileInfo* info, Reader* r) {
-  if (bytes.size() < kChecksummedOffset) {
-    return Status::ParseError("index file too short (" +
-                              std::to_string(bytes.size()) + " bytes): " +
-                              path);
-  }
-  if (std::string_view(bytes.data(), kIndexMagic.size()) != kIndexMagic) {
-    return Status::ParseError("bad magic: not a gtpq index file: " + path);
-  }
-  Reader prologue(std::string_view(bytes.data() + kVersionOffset,
-                                   kChecksummedOffset - kVersionOffset));
-  uint32_t version = 0, stored_crc = 0;
-  GTPQ_RETURN_NOT_OK(prologue.ReadU32(&version));
-  GTPQ_RETURN_NOT_OK(prologue.ReadU32(&stored_crc));
-  if (version != kIndexFormatVersion) {
-    return Status::FailedPrecondition(
-        "index format version mismatch: file has v" +
-        std::to_string(version) + ", this build reads v" +
-        std::to_string(kIndexFormatVersion) + ": " + path);
-  }
-  const uint32_t actual_crc = Crc32(bytes.data() + kChecksummedOffset,
-                                    bytes.size() - kChecksummedOffset);
-  if (actual_crc != stored_crc) {
-    return Status::ParseError(
-        "index checksum mismatch (truncated or corrupted file): " + path);
-  }
-
-  *r = Reader(bytes.substr(kChecksummedOffset));
+  GTPQ_RETURN_NOT_OK(
+      CheckFraming(bytes, kIndexMagic, kIndexFormatVersion, "index", path));
+  *r = Reader(bytes.substr(kFramedOffset));
   r->set_pod_align(true);
-  info->format_version = version;
+  info->format_version = kIndexFormatVersion;
   info->file_bytes = bytes.size();
   GTPQ_RETURN_NOT_OK(r->ReadString(&info->spec));
   GTPQ_RETURN_NOT_OK(r->ReadU64(&info->graph_fingerprint));
@@ -91,10 +51,12 @@ Status OpenHeader(std::string_view bytes, const std::string& path,
   return Status::OK();
 }
 
-Result<std::unique_ptr<ReachabilityOracle>> LoadImpl(
-    const std::string& path, const Digraph* expected_graph) {
-  std::string bytes;
-  GTPQ_RETURN_NOT_OK(ReadFile(path, &bytes));
+// Header, fingerprint check, body, end-of-file check: the sequence both
+// loaders share. Under `zero_copy` POD arrays borrow `bytes`, which the
+// caller must then keep alive for the oracle's whole life.
+Result<std::unique_ptr<ReachabilityOracle>> LoadFromBytes(
+    std::string_view bytes, const std::string& path,
+    const Digraph* expected_graph, bool zero_copy) {
   IndexFileInfo info;
   Reader r{std::string_view()};
   GTPQ_RETURN_NOT_OK(OpenHeader(bytes, path, &info, &r));
@@ -107,37 +69,30 @@ Result<std::unique_ptr<ReachabilityOracle>> LoadImpl(
           std::to_string(expected) + "): " + path);
     }
   }
+  r.set_zero_copy(zero_copy);
   auto oracle = LoadOracleBody(info.spec, &r);
   GTPQ_RETURN_NOT_OK(oracle.status());
   GTPQ_RETURN_NOT_OK(r.ExpectEnd());
   return oracle;
 }
 
+Result<std::unique_ptr<ReachabilityOracle>> LoadImpl(
+    const std::string& path, const Digraph* expected_graph) {
+  std::string bytes;
+  GTPQ_RETURN_NOT_OK(ReadWholeFile(path, "index", &bytes));
+  return LoadFromBytes(bytes, path, expected_graph, /*zero_copy=*/false);
+}
+
 Result<std::unique_ptr<ReachabilityOracle>> LoadViewImpl(
     const std::string& path, const Digraph* expected_graph) {
-  auto mapping_r = MmapFile::Map(path);
-  GTPQ_RETURN_NOT_OK(mapping_r.status());
-  std::shared_ptr<MmapFile> mapping = mapping_r.TakeValue();
-  IndexFileInfo info;
-  Reader r{std::string_view()};
-  GTPQ_RETURN_NOT_OK(OpenHeader(mapping->bytes(), path, &info, &r));
-  if (expected_graph != nullptr) {
-    const uint64_t expected = GraphFingerprint(*expected_graph);
-    if (expected != info.graph_fingerprint) {
-      return Status::FailedPrecondition(
-          "index was built for a different graph (file fingerprint " +
-          std::to_string(info.graph_fingerprint) + ", serving graph " +
-          std::to_string(expected) + "): " + path);
-    }
-  }
-  // From here on POD arrays borrow the mapped pages instead of copying.
-  r.set_zero_copy(true);
-  auto oracle = LoadOracleBody(info.spec, &r);
+  auto mapping = MmapFile::Map(path);
+  GTPQ_RETURN_NOT_OK(mapping.status());
+  auto oracle = LoadFromBytes((*mapping)->bytes(), path, expected_graph,
+                              /*zero_copy=*/true);
   GTPQ_RETURN_NOT_OK(oracle.status());
-  GTPQ_RETURN_NOT_OK(r.ExpectEnd());
   // The root oracle owns every nested sub-index, so pinning the mapping
   // here keeps all borrowed views valid for the oracle's whole life.
-  (*oracle)->RetainBuffer(std::move(mapping));
+  (*oracle)->RetainBuffer(mapping.TakeValue());
   return oracle;
 }
 
@@ -180,27 +135,8 @@ Status SaveReachabilityIndex(const ReachabilityOracle& oracle,
   // placed its own pod pads assuming an 8-aligned start.
   header.AlignTo8();
 
-  // Chain the CRC across header and body so neither needs to be
-  // concatenated into a third buffer — the payload (quadratic for
-  // transitive_closure) is the dominant allocation, keep it single.
-  const uint32_t crc =
-      Crc32(body.buffer().data(), body.buffer().size(),
-            Crc32(header.buffer().data(), header.buffer().size()));
-
-  Writer prologue;
-  prologue.WriteBytes(kIndexMagic.data(), kIndexMagic.size());
-  prologue.WriteU32(kIndexFormatVersion);
-  prologue.WriteU32(crc);
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::NotFound("cannot create index file: " + path);
-  for (const Writer* part : {&prologue, &header, &body}) {
-    out.write(part->buffer().data(),
-              static_cast<std::streamsize>(part->buffer().size()));
-  }
-  out.close();
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::OK();
+  return WriteFramedFile(path, kIndexMagic, kIndexFormatVersion,
+                         {&header, &body});
 }
 
 Result<std::unique_ptr<ReachabilityOracle>> LoadReachabilityIndex(
@@ -225,7 +161,7 @@ Result<std::unique_ptr<ReachabilityOracle>> LoadReachabilityIndexView(
 
 Result<IndexFileInfo> InspectReachabilityIndex(const std::string& path) {
   std::string bytes;
-  GTPQ_RETURN_NOT_OK(ReadFile(path, &bytes));
+  GTPQ_RETURN_NOT_OK(ReadWholeFile(path, "index", &bytes));
   IndexFileInfo info;
   Reader r{std::string_view()};
   GTPQ_RETURN_NOT_OK(OpenHeader(bytes, path, &info, &r));

@@ -33,20 +33,26 @@ namespace storage {
 ///             payload: backend-specific body (each backend's SaveBody;
 ///             decorators nest their inner oracle's section)
 ///
-/// Format v2 is the pod_align layout (storage/serializer.h): the header
-/// is padded so the payload starts 8-aligned, and every POD vector in
-/// the payload pads after its count prefix so its element bytes sit on
-/// an 8-byte file offset. Since offset 16 is itself 8-aligned, file
-/// alignment equals mapped-memory alignment — which is what lets
-/// LoadReachabilityIndexView hand out element views pointing straight
-/// into read-only mmap'd pages instead of heap copies.
+/// The body uses the pod_align layout (storage/serializer.h, since v2):
+/// the header is padded so the payload starts 8-aligned, and every POD
+/// vector in the payload pads after its count prefix so its element
+/// bytes sit on an 8-byte file offset. Since offset 16 is itself
+/// 8-aligned, file alignment equals mapped-memory alignment — which is
+/// what lets LoadReachabilityIndexView hand out element views pointing
+/// straight into read-only mmap'd pages instead of heap copies.
+///
+/// v3 changed only the `sharded:` section: u64 shard count, string
+/// inner spec, vec shard cuts, the boundary overlay block a `.gtpqmap`
+/// carries (reachability/boundary_overlay.h), then one sub-index
+/// section per shard. Lookups derived from the boundary are no longer
+/// persisted.
 ///
 /// Readers reject, with a clean Status and no crash: wrong magic,
 /// version mismatch, checksum mismatch (covers truncation and bit
 /// corruption), trailing bytes, and — when the caller supplies the
 /// graph being served — a fingerprint mismatch.
 inline constexpr std::string_view kIndexMagic = "GTPQIDX\n";
-inline constexpr uint32_t kIndexFormatVersion = 2;
+inline constexpr uint32_t kIndexFormatVersion = 3;
 inline constexpr std::string_view kIndexFileExtension = ".gtpqidx";
 
 /// Order-sensitive 64-bit digest of a finalized graph's structure

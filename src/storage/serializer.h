@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -327,6 +328,25 @@ Status ReadFields(Reader* r, Fields*... fields) {
   static_cast<void>(((st = ReadField(r, fields)).ok() && ...));
   return st;
 }
+
+/// File framing shared by `.gtpqidx` and `.gtpqmap`: an 8-byte magic, a
+/// u32 format version, and a u32 CRC-32 over every byte from offset
+/// kFramedOffset to EOF.
+inline constexpr size_t kFramedOffset = 16;
+
+/// Writes the framing for `magic`/`version`, then `parts` back to back.
+Status WriteFramedFile(const std::string& path, std::string_view magic,
+                       uint32_t version,
+                       std::initializer_list<const Writer*> parts);
+/// Reads a whole file; `kind` ("index", "map") names it in errors.
+Status ReadWholeFile(const std::string& path, std::string_view kind,
+                     std::string* out);
+/// Rejects `bytes` unless it opens with `magic`, carries `version`, and
+/// its checksum holds: ParseError for a short file, wrong magic or
+/// checksum mismatch, FailedPrecondition for a version mismatch.
+Status CheckFraming(std::string_view bytes, std::string_view magic,
+                    uint32_t version, std::string_view kind,
+                    const std::string& path);
 
 }  // namespace storage
 }  // namespace gtpq

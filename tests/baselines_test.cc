@@ -153,6 +153,41 @@ TEST_P(DagEngines, HgJoinVariantsMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DagEngines, ::testing::Values(4, 5, 6));
 
+TEST(HgJoinTest, PlusCountersAreDeterministic) {
+  RandomDagOptions o;
+  o.num_nodes = 70;
+  o.avg_degree = 2.0;
+  o.num_labels = 5;
+  o.seed = 81;
+  DataGraph g = RandomDag(o);
+  auto idx = IntervalIndex::Build(g.graph());
+  int multi_plan = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    QueryGenOptions qo = TreeQueryOptions(5, seed * 17 + 4);
+    qo.pc_probability = 0.3;
+    auto q = GenerateRandomQueryWithRetry(g, qo);
+    if (!q.has_value()) continue;
+    const auto run = [&](size_t max_plans, HgJoinReport* report) {
+      EngineStats stats;
+      HgJoinOptions opts;
+      opts.max_plans = max_plans;
+      EvaluateHgJoin(g, idx, *q, opts, &stats, report);
+      return stats;
+    };
+    HgJoinReport report;
+    const EngineStats a = run(64, &report);
+    if (report.plans_tried < 2) continue;
+    ++multi_plan;
+    const EngineStats b = run(64, nullptr);
+    EXPECT_EQ(a.join_ops, b.join_ops) << q->ToString(*g.attr_names());
+    EXPECT_EQ(a.intermediate_size, b.intermediate_size);
+    // One plan's counters, never a sum over plans: no more than plan 0
+    // alone produces.
+    EXPECT_LE(a.intermediate_size, run(1, nullptr).intermediate_size);
+  }
+  EXPECT_GT(multi_plan, 0);
+}
+
 TEST(TwigOnGraphTest, CrossEdgeDecompositionMatchesGtea) {
   // Tree + forward cross edges; the query uses a PC edge that we
   // declare as the cross edge, so the wrapper must split and rejoin.

@@ -1,10 +1,11 @@
 // Cluster serving tests: .gtpqmap round-trip + rejection suite (bad
-// magic, corruption, overlapping/uncovered ranges, shard-index
-// fingerprint mismatch), PROBE wire codec, degree-aware cut planning,
-// and the ShardRouter differential — a 3-shard in-process cluster must
-// answer every probe exactly like the in-process `sharded:` oracle and
-// the materialized closure, before and after a routed update with its
-// epoch barrier. Enrolled in the TSan CI job.
+// magic, corruption, overlapping/uncovered ranges, inconsistent boundary
+// overlay, shard-index fingerprint mismatch), PROBE wire codec,
+// degree-aware cut planning, and the ShardRouter differential — a
+// 3-shard in-process cluster must answer every probe exactly like the
+// in-process `sharded:` oracle and the materialized closure, before and
+// after a routed update with its epoch barrier. Enrolled in the TSan CI
+// job.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include "obs/federation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reachability/boundary_overlay.h"
 #include "reachability/sharded_oracle.h"
 #include "reachability/transitive_closure.h"
 #include "storage/index_io.h"
@@ -65,6 +67,15 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+std::shared_ptr<const TransitiveClosure> ClosureOver(
+    size_t nodes, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  Digraph g(nodes);
+  for (const auto& [x, y] : edges) g.AddEdge(x, y);
+  g.Finalize();
+  return std::make_shared<const TransitiveClosure>(
+      TransitiveClosure::Build(g));
+}
+
 /// A minimal structurally-valid map over an 8-vertex path graph with no
 /// boundary machinery — the seed the rejection tests corrupt.
 PartitionMap TinyMap() {
@@ -74,11 +85,8 @@ PartitionMap TinyMap() {
   map.ranges = {{0, 4}, {4, 8}};
   map.endpoints = {"127.0.0.1:1", "127.0.0.1:2"};
   map.shard_fingerprints = {1, 2};
-  map.shard_overlay.resize(2);
-  Digraph empty_overlay(0);
-  empty_overlay.Finalize();
-  map.overlay_closure = std::make_shared<const TransitiveClosure>(
-      TransitiveClosure::Build(empty_overlay));
+  map.overlay.contributions.resize(2);
+  map.overlay.closure = ClosureOver(0, {});
   return map;
 }
 
@@ -110,16 +118,16 @@ TEST(PartitionMapTest, BuildRoundTripsThroughDisk) {
     EXPECT_EQ(a.ranges[s].end, b.ranges[s].end);
     EXPECT_EQ(a.endpoints[s], b.endpoints[s]);
     EXPECT_EQ(a.shard_fingerprints[s], b.shard_fingerprints[s]);
-    EXPECT_EQ(a.shard_overlay[s], b.shard_overlay[s]);
+    EXPECT_EQ(a.overlay.contributions[s], b.overlay.contributions[s]);
   }
-  EXPECT_EQ(a.boundary, b.boundary);
-  EXPECT_EQ(a.cross_edges, b.cross_edges);
-  ASSERT_NE(b.overlay_closure, nullptr);
-  EXPECT_EQ(a.overlay_closure->NumNodes(), b.overlay_closure->NumNodes());
-  for (uint32_t x = 0; x < a.boundary.size(); ++x) {
-    for (uint32_t y = 0; y < a.boundary.size(); ++y) {
-      EXPECT_EQ(a.overlay_closure->Reaches(x, y),
-                b.overlay_closure->Reaches(x, y));
+  EXPECT_EQ(a.overlay.boundary, b.overlay.boundary);
+  EXPECT_EQ(a.overlay.cross_edges, b.overlay.cross_edges);
+  const TransitiveClosure& ca = *a.overlay.closure;
+  const TransitiveClosure& cb = *b.overlay.closure;
+  EXPECT_EQ(ca.NumNodes(), cb.NumNodes());
+  for (uint32_t x = 0; x < a.overlay.boundary.size(); ++x) {
+    for (uint32_t y = 0; y < a.overlay.boundary.size(); ++y) {
+      EXPECT_EQ(ca.Reaches(x, y), cb.Reaches(x, y));
     }
   }
 
@@ -210,6 +218,50 @@ TEST(PartitionMapTest, RejectsShardCountDisagreement) {
   PartitionMap map = TinyMap();
   map.endpoints.pop_back();
   EXPECT_EQ(map.Validate().code(), StatusCode::kParseError);
+}
+
+/// Saves `map` verbatim and expects the load to fail naming `what`.
+void ExpectLoadRejects(const PartitionMap& map, const std::string& name,
+                       const std::string& what) {
+  const std::string path = TempDirFor(name + ".gtpqmap");
+  ASSERT_TRUE(SavePartitionMap(map, path).ok());
+  const Status st = LoadPartitionMap(path).status();
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+  EXPECT_NE(st.message().find(what), std::string::npos) << st.ToString();
+}
+
+TEST(PartitionMapTest, RejectsClosureSmallerThanBoundary) {
+  // Two boundary vertices joined by a cross edge, but a 0-node closure:
+  // a router would index past its rows on the first cross-shard probe.
+  PartitionMap map = TinyMap();
+  map.overlay.boundary = {3, 4};
+  map.overlay.cross_edges = {{3, 4}};
+  ExpectLoadRejects(map, "closure_size", "closure spans 0 nodes");
+}
+
+TEST(PartitionMapTest, RejectsCrossEdgeOffTheBoundary) {
+  PartitionMap map = TinyMap();
+  map.overlay.boundary = {3, 4};
+  map.overlay.cross_edges = {{2, 5}};
+  map.overlay.closure = ClosureOver(2, {{0, 1}});
+  ExpectLoadRejects(map, "cross_edge", "leaves the boundary");
+}
+
+TEST(PartitionMapTest, RejectsMalformedBoundary) {
+  const auto with_boundary = [](std::vector<NodeId> boundary,
+                                BoundaryOverlay::IdPairs contribution) {
+    PartitionMap map = TinyMap();
+    map.overlay.closure = ClosureOver(boundary.size(), {});
+    map.overlay.boundary = std::move(boundary);
+    map.overlay.contributions[0] = std::move(contribution);
+    return map;
+  };
+  ExpectLoadRejects(with_boundary({4, 3}, {}), "unsorted", "ascending");
+  ExpectLoadRejects(with_boundary({3, 3}, {}), "duplicate", "ascending");
+  ExpectLoadRejects(with_boundary({3, 8}, {}), "out_of_range",
+                    "out of range");
+  ExpectLoadRejects(with_boundary({3, 4}, {{0, 2}}), "contribution",
+                    "contribution id out of range");
 }
 
 // ---------------------------------------------------------- wire codec
@@ -708,16 +760,16 @@ TEST(ShardRouterTest, NativeUpdateCommitsEpochBarrier) {
   EXPECT_EQ(cluster.router->ApplyNativeUpdate(add_nodes).code(),
             StatusCode::kFailedPrecondition);
 
-  ASSERT_FALSE(map.cross_edges.empty());
+  const auto& cross_edges = map.overlay.cross_edges;
+  ASSERT_FALSE(cross_edges.empty());
   UpdateBatch cross;
-  cross.add_edges.push_back(
-      {map.cross_edges[0].second, map.cross_edges[0].first});
+  cross.add_edges.push_back({cross_edges[0].second, cross_edges[0].first});
   EXPECT_EQ(cluster.router->ApplyNativeUpdate(cross).code(),
             StatusCode::kFailedPrecondition);
 
-  ASSERT_FALSE(map.boundary.empty());
+  ASSERT_FALSE(map.overlay.boundary.empty());
   UpdateBatch remove_boundary;
-  remove_boundary.remove_nodes.push_back(map.boundary[0]);
+  remove_boundary.remove_nodes.push_back(map.overlay.boundary[0]);
   EXPECT_EQ(cluster.router->ApplyNativeUpdate(remove_boundary).code(),
             StatusCode::kFailedPrecondition);
 

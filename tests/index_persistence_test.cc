@@ -2,14 +2,16 @@
 // spec (base backends, cached:/sharded: decorators, nested chains) must
 // round-trip through SaveReachabilityIndex / LoadReachabilityIndex and
 // still agree with the materialized closure on the full point + set
-// API; corrupted, truncated, version-skewed, and wrong-graph files must
-// be rejected with clean Status errors, never crashes; and the
+// API; corrupted, truncated, version-skewed, and wrong-graph files, and
+// a `sharded:` section with an inconsistent boundary overlay, must be
+// rejected with clean Status errors, never crashes; and the
 // factory's "file:<path>" spec must serve a loaded index through the
 // same seams (gtea:file:..., SharedEngineFactory) a built index uses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 #include "graph/generators.h"
 #include "query/query_generator.h"
 #include "reachability/factory.h"
+#include "reachability/sharded_oracle.h"
 #include "reachability/transitive_closure.h"
 #include "runtime/engine_factory.h"
 #include "storage/index_io.h"
@@ -272,6 +275,54 @@ TEST_F(PersistenceRejectionTest, SaveToUnwritablePathFails) {
   const Status s = storage::SaveReachabilityIndex(
       *built, g_->graph(), "/no-such-dir/deep/idx.gtpqidx");
   ASSERT_FALSE(s.ok());
+}
+
+TEST(ShardedSectionTest, RejectsUnsortedBoundaryUnderAValidChecksum) {
+  const DataGraph g = TestDigraph();
+  ShardedOracleOptions options;
+  options.num_shards = 2;
+  ShardedOracle oracle(g.graph(), options);
+  const std::vector<NodeId>& boundary = oracle.overlay().boundary;
+  ASSERT_GE(boundary.size(), 2u);
+  const std::string path = TempPath("sharded_crafted");
+  ASSERT_TRUE(storage::SaveReachabilityIndex(oracle, g.graph(), path).ok());
+  std::string bytes = ReadFileBytes(path);
+  auto info = storage::InspectReachabilityIndex(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+
+  // The section opens with the shard count, the inner spec and the cuts;
+  // the boundary's elements follow its count word.
+  const uint64_t n = g.NumNodes();
+  storage::Writer prefix;
+  prefix.set_pod_align(true);
+  prefix.WriteU64(2);
+  prefix.WriteString("interval");
+  prefix.WritePodVec(std::vector<uint64_t>{0, n / 2, n});
+  prefix.WriteU64(boundary.size());
+  const size_t at =
+      bytes.size() - info->payload_bytes + prefix.buffer().size();
+  ASSERT_EQ(std::memcmp(bytes.data() + at, boundary.data(), 8), 0);
+
+  // Swap the first two boundary vertices, then re-stamp the CRC so only
+  // the overlay validation stands between the file and a probe.
+  std::memcpy(&bytes[at], &boundary[1], 4);
+  std::memcpy(&bytes[at + 4], &boundary[0], 4);
+  const uint32_t crc = storage::Crc32(bytes.data() + 16, bytes.size() - 16);
+  for (int i = 0; i < 4; ++i) {
+    bytes[12 + i] = static_cast<char>(crc >> (8 * i));
+  }
+  WriteFileBytes(path, bytes);
+
+  for (const bool view : {false, true}) {
+    auto loaded = view ? storage::LoadReachabilityIndexView(path)
+                       : storage::LoadReachabilityIndex(path);
+    ASSERT_FALSE(loaded.ok()) << "view=" << view;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("ascending"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- file: serving

@@ -309,7 +309,8 @@ int InspectPartitionMap(const std::string& path) {
               FormatWithCommas(static_cast<long long>(map->num_edges))
                   .c_str());
   std::printf("boundary       : %zu vertex(es), %zu cross edge(s)\n",
-              map->boundary.size(), map->cross_edges.size());
+              map->overlay.boundary.size(),
+              map->overlay.cross_edges.size());
   for (size_t s = 0; s < map->num_shards(); ++s) {
     std::printf("shard %-2zu       : [%llu, %llu) %s nodes, endpoint %s, "
                 "index fingerprint %016llx\n",
@@ -761,8 +762,8 @@ int RunPartition(int argc, char** argv) {
   const cluster::PartitionMap& map = built->map;
   std::printf("%zu shard(s), %zu boundary vertex(es), %zu cross "
               "edge(s), %s cuts, in %.1f ms\n",
-              map.num_shards(), map.boundary.size(),
-              map.cross_edges.size(),
+              map.num_shards(), map.overlay.boundary.size(),
+              map.overlay.cross_edges.size(),
               options.plan.degree_aware ? "degree-aware" : "equal", ms);
   for (size_t s = 0; s < map.num_shards(); ++s) {
     std::printf("shard %-2zu: [%llu, %llu) -> %s + %s\n", s,
