@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
               "(GTPQ_BENCH_SCALE=%g)\n", s);
   std::printf("%-10s %12s %12s %12s %12s %12s\n", "Scale", "GTEA",
               "TwigStackD", "HGJoin+", "TwigStack", "Twig2Stack");
+  std::vector<VerdictRow> verdict;
   for (double f : {0.5, 1.0, 1.5, 2.0, 4.0}) {
     workload::XmarkOptions o;
     o.scale = f * s;
@@ -58,6 +59,8 @@ int main(int argc, char** argv) {
     // treated as metrics, not identity).
     char scale_key[32];
     std::snprintf(scale_key, sizeof(scale_key), "%g", f);
+    verdict.push_back({std::string(scale_key), t_gtea[0], t_tsd,
+                       std::min({t_tsd, t_hg, t_ts, t_t2s})});
     for (size_t li = 0; li < lane_sweep.size(); ++li) {
       report.AddRow()
           .Add("data_scale", std::string(scale_key))
@@ -71,8 +74,7 @@ int main(int argc, char** argv) {
         .Add("twigstack_ms", t_ts / kQueries)
         .Add("twig2stack_ms", t_t2s / kQueries);
   }
-  std::printf("\nPaper shape: GTEA fastest at every scale; gap widens "
-              "with size; HGJoin+ slowest.\n");
+  PrintGteaVerdict(verdict);
   if (json_path.has_value() && !report.WriteTo(*json_path)) return 1;
   return 0;
 }

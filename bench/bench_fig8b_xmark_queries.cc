@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   const int kQueries = 5;
   // gtea_by_lane[variant-1][lane index] = summed ms at that budget.
   std::vector<std::vector<double>> gtea_by_lane;
+  std::vector<VerdictRow> verdict;
   Rng rng(13);
   for (int variant = 1; variant <= 3; ++variant) {
     double t_tsd = 0, t_hg = 0, t_ts = 0, t_t2s = 0;
@@ -66,6 +67,8 @@ int main(int argc, char** argv) {
                 t_gtea[0] / kQueries, t_tsd / kQueries, t_hg / kQueries,
                 t_ts / kQueries, t_t2s / kQueries);
     const std::string qname = "Q" + std::to_string(variant);
+    verdict.push_back(
+        {qname, t_gtea[0], t_tsd, std::min({t_tsd, t_hg, t_ts, t_t2s})});
     for (size_t li = 0; li < lane_sweep.size(); ++li) {
       report.AddRow()
           .Add("query", qname)
@@ -98,8 +101,7 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   }
-  std::printf("\nPaper shape: GTEA nearly flat across Q1..Q3; HGJoin+ "
-              "most sensitive to query size.\n");
+  PrintGteaVerdict(verdict);
   if (json_path.has_value() && !report.WriteTo(*json_path)) return 1;
   return 0;
 }

@@ -1,6 +1,7 @@
 #ifndef GTPQ_BENCH_HARNESS_H_
 #define GTPQ_BENCH_HARNESS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -230,6 +231,31 @@ double MinTimeMs(Fn&& fn, int reps) {
     if (best < 0 || ms < best) best = ms;
   }
   return best;
+}
+
+/// One row of a paper-figure verdict: GTEA's time beside TwigStackD's
+/// and the fastest of the other engines.
+struct VerdictRow {
+  std::string label;
+  double gtea_ms = 0;
+  double twigstackd_ms = 0;
+  double fastest_other_ms = 0;
+};
+
+/// Prints the measured verdict on the paper's claim that GTEA is the
+/// fastest engine: GTEA/TwigStackD per row, then whether GTEA was
+/// fastest on every row.
+inline void PrintGteaVerdict(const std::vector<VerdictRow>& rows) {
+  std::printf("\nVerdict (paper: GTEA fastest on every row):\n");
+  bool all = true;
+  for (const VerdictRow& r : rows) {
+    const bool fastest = r.gtea_ms <= r.fastest_other_ms;
+    all = all && fastest;
+    std::printf("  %-8s GTEA/TwigStackD %5.2fx  fastest: %s\n",
+                r.label.c_str(), r.gtea_ms / std::max(r.twigstackd_ms, 1e-9),
+                fastest ? "yes" : "no");
+  }
+  std::printf("GTEA fastest: %s\n", all ? "yes" : "no");
 }
 
 /// All engines bundled over one data graph, behind the shared Evaluator

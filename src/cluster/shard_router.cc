@@ -219,9 +219,7 @@ Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
   };
   auto finish_probe = [&trace, this](size_t shard, uint64_t span_id,
                                      double start_us) {
-    const double dur_us = obs::NowMicros() - start_us;
-    shard_probes_[shard]->Add();
-    shard_probe_latency_us_[shard]->Record(static_cast<uint64_t>(dur_us));
+    const double dur_us = RecordProbe(shard, start_us);
     if (trace.active()) {
       obs::TraceRecorder::Global().Record(
           trace.trace_id, span_id, trace.parent_span,
@@ -270,6 +268,13 @@ Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
   // Answered by the replicated overlay — no further wire traffic.
   closure_hits_->Add();
   return true;
+}
+
+double ShardRouter::RecordProbe(size_t shard, double start_us) const {
+  const double dur_us = obs::NowMicros() - start_us;
+  shard_probes_[shard]->Add();
+  shard_probe_latency_us_[shard]->Record(static_cast<uint64_t>(dur_us));
+  return dur_us;
 }
 
 bool ShardRouter::Reaches(NodeId from, NodeId to) const {
@@ -385,12 +390,15 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
       locals.push_back(LocalId(current->boundary[b], owner));
     }
     std::vector<uint64_t> request_ids;
+    std::vector<double> start_us;
     request_ids.reserve(locals.size());
+    start_us.reserve(locals.size());
     for (const NodeId pivot : locals) {
       net::ProbeRequest request;
       request.reverse = false;
       request.pivot = pivot;
       request.ids = locals;
+      start_us.push_back(obs::NowMicros());
       auto id = client->SendProbe(request);
       if (!id.ok()) {
         DropClient(owner);
@@ -407,6 +415,7 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
         DropClient(owner);
         return payload.status();
       }
+      RecordProbe(owner, start_us[i]);
       GTPQ_RETURN_NOT_OK(net::DecodeProbeResult(*payload, &result));
       if (result.count != locals.size()) {
         return Status::ParseError("contribution probe count mismatch");

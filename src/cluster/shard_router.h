@@ -140,6 +140,9 @@ class ShardRouter : public ReachabilityOracle,
   }
   Result<bool> ProbeCluster(NodeId from, NodeId to, size_t su,
                             size_t sv) const;
+  /// Counts one answered PROBE to `shard` sent at `start_us` in the
+  /// shard's probe counter and latency histogram; returns its duration.
+  double RecordProbe(size_t shard, double start_us) const;
   std::shared_ptr<const BoundaryOverlay> overlay() const;
   void StartProber();
   void ProberLoop();

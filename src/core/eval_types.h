@@ -45,6 +45,10 @@ struct EngineStats {
 
   double match_ms = 0;
   double prune_down_ms = 0;
+  /// Parts of prune_down_ms: building the AD children's target
+  /// summaries, and the batched probes plus formula evaluation.
+  double prune_down_summarize_ms = 0;
+  double prune_down_probe_ms = 0;
   double prime_ms = 0;
   double prune_up_ms = 0;
   double matching_graph_ms = 0;

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "common/logging.h"
+#include "common/timer.h"
 #include "runtime/parallel.h"
 
 namespace gtpq {
@@ -98,10 +99,12 @@ void PruneDownward(const DataGraph& g, const ReachabilityOracle& idx,
     std::vector<std::unique_ptr<SetSummary>> summaries;
     std::vector<const SetSummary*> summary_ptrs;
     summaries.reserve(ad_children.size());
+    Timer summarize;
     for (QNodeId c : ad_children) {
       summaries.push_back(idx.SummarizeTargets((*mat)[c]));
       summary_ptrs.push_back(summaries.back().get());
     }
+    stats->prune_down_summarize_ms += summarize.ElapsedMillis();
 
     const logic::FormulaRef fext = q.ExtendedPredicate(u);
     // One batched probe per candidate chunk, then the per-candidate
@@ -133,8 +136,10 @@ void PruneDownward(const DataGraph& g, const ReachabilityOracle& idx,
       }
     };
 
+    Timer probe;
     candidates =
         ParallelCollect(candidates.size(), &idx, ctx, stats, process_chunk);
+    stats->prune_down_probe_ms += probe.ElapsedMillis();
   }
 }
 

@@ -5,11 +5,12 @@
 
 namespace gtpq {
 
-void Contour::UpdateMax(uint32_t cid, const ContourEntry& e) {
-  auto [it, inserted] = entries_.emplace(cid, e);
-  if (inserted) return;
-  ContourEntry& cur = it->second;
-  if (e.sid > cur.sid) {
+void Contour::Update(uint32_t cid, const ContourEntry& e, bool keep_max) {
+  ContourEntry& cur = entries_[cid];
+  if (cur.sid == kAbsentSid) {
+    cur = e;
+    ++size_;
+  } else if (keep_max ? e.sid > cur.sid : e.sid < cur.sid) {
     cur = e;
   } else if (e.sid == cur.sid) {
     // Same position contributed twice: genuine wins; two distinct self
@@ -23,93 +24,71 @@ void Contour::UpdateMax(uint32_t cid, const ContourEntry& e) {
   }
 }
 
-void Contour::UpdateMin(uint32_t cid, const ContourEntry& e) {
-  auto [it, inserted] = entries_.emplace(cid, e);
-  if (inserted) return;
-  ContourEntry& cur = it->second;
-  if (e.sid < cur.sid) {
-    cur = e;
-  } else if (e.sid == cur.sid) {
-    if (e.genuine || cur.genuine ||
-        (cur.self_member != kInvalidNode &&
-         e.self_member != kInvalidNode &&
-         cur.self_member != e.self_member)) {
-      cur.genuine = true;
-    }
-  }
-}
+namespace {
 
-Contour MergePredLists(const ThreeHopIndex& idx,
-                       std::span<const NodeId> members) {
-  Contour cp;
+// Procedure 2 (kPred) and its dual. A predecessor merge walks each
+// member's chain downward through the Lin lists, so a walk starting at
+// sid s covers every list at sids <= s; a successor merge walks upward
+// through the Lout lists and covers sids >= s. visited[cid] records the
+// start that covers the most so far — Procedure 2's `visited`
+// bookkeeping, letting members on one chain share the work. A single
+// member has nothing to share and skips the array.
+template <bool kPred>
+Contour MergeLists(const ThreeHopIndex& idx, std::span<const NodeId> members) {
+  constexpr uint32_t kNone = UINT32_MAX;
+  Contour c(idx.NumChains());
   IndexStats& st = idx.stats();
-  // Walks proceed downward from each member, so a walk starting at sid s
-  // covers every Lin list at sids <= s. visited[cid] records the highest
-  // start walked so far — Procedure 2's `visited` bookkeeping, letting
-  // overlapping members share the work.
-  std::unordered_map<uint32_t, uint32_t> visited;
+  std::vector<uint32_t> visited;
+  if (members.size() > 1) visited.assign(idx.NumChains(), kNone);
+  auto covered = [](uint32_t sid, uint32_t bound) {
+    return bound != kNone && (kPred ? sid <= bound : sid >= bound);
+  };
+  auto list = [&idx](ThreeHopIndex::CondId x) -> const PodArray<ChainPos>& {
+    return kPred ? idx.Lin(x) : idx.Lout(x);
+  };
+  auto next = [&idx](ThreeHopIndex::CondId x) {
+    return kPred ? idx.PrevWithLin(x) : idx.NextWithLout(x);
+  };
+  auto update = [&c](uint32_t cid, const ContourEntry& e) {
+    if constexpr (kPred) {
+      c.UpdateMax(cid, e);
+    } else {
+      c.UpdateMin(cid, e);
+    }
+  };
+
   for (NodeId v : members) {
     const auto cond = idx.CondOf(v);
     const ChainPos p = idx.PosOfCond(cond);
-    // The member itself belongs to its complete predecessor list.
-    cp.UpdateMax(p.cid, ContourEntry{p.sid, idx.CondCyclic(cond), v});
+    // The member itself belongs to its complete list.
+    update(p.cid, ContourEntry{p.sid, idx.CondCyclic(cond), v});
 
-    auto it = visited.find(p.cid);
-    const bool chain_seen = it != visited.end();
-    if (chain_seen && p.sid <= it->second) continue;  // segment covered
-
-    auto cur = idx.Lin(cond).empty() ? idx.PrevWithLin(cond) : cond;
-    while (cur != ThreeHopIndex::kNoCond) {
-      const ChainPos pc = idx.PosOfCond(cur);
-      if (chain_seen && pc.sid <= it->second) break;  // already walked
-      for (const ChainPos& e : idx.Lin(cur)) {
+    const uint32_t bound = visited.empty() ? kNone : visited[p.cid];
+    if (covered(p.sid, bound)) continue;  // segment already walked
+    for (auto cur = list(cond).empty() ? next(cond) : cond;
+         cur != ThreeHopIndex::kNoCond &&
+         !covered(idx.PosOfCond(cur).sid, bound);
+         cur = next(cur)) {
+      for (const ChainPos& e : list(cur)) {
         ++st.elements_looked_up;
-        cp.UpdateMax(e.cid, ContourEntry{e.sid, true, kInvalidNode});
+        update(e.cid, ContourEntry{e.sid, true, kInvalidNode});
       }
-      cur = idx.PrevWithLin(cur);
     }
-    if (chain_seen) {
-      it->second = p.sid;
-    } else {
-      visited.emplace(p.cid, p.sid);
-    }
+    if (!visited.empty()) visited[p.cid] = p.sid;
   }
-  return cp;
+  return c;
+}
+
+}  // namespace
+
+Contour MergePredLists(const ThreeHopIndex& idx,
+                       std::span<const NodeId> members) {
+  return MergeLists<true>(idx, members);
 }
 
 Contour MergeSuccLists(const ThreeHopIndex& idx,
                        std::span<const NodeId> members) {
-  Contour cs;
-  IndexStats& st = idx.stats();
-  // Dual bookkeeping: walks proceed upward, so a walk starting at sid s
-  // covers sids >= s; visited[cid] records the lowest start so far.
-  std::unordered_map<uint32_t, uint32_t> visited;
-  for (NodeId v : members) {
-    const auto cond = idx.CondOf(v);
-    const ChainPos p = idx.PosOfCond(cond);
-    cs.UpdateMin(p.cid, ContourEntry{p.sid, idx.CondCyclic(cond), v});
-
-    auto it = visited.find(p.cid);
-    const bool chain_seen = it != visited.end();
-    if (chain_seen && p.sid >= it->second) continue;
-
-    auto cur = idx.Lout(cond).empty() ? idx.NextWithLout(cond) : cond;
-    while (cur != ThreeHopIndex::kNoCond) {
-      const ChainPos pc = idx.PosOfCond(cur);
-      if (chain_seen && pc.sid >= it->second) break;
-      for (const ChainPos& e : idx.Lout(cur)) {
-        ++st.elements_looked_up;
-        cs.UpdateMin(e.cid, ContourEntry{e.sid, true, kInvalidNode});
-      }
-      cur = idx.NextWithLout(cur);
-    }
-    if (chain_seen) {
-      it->second = p.sid;
-    } else {
-      visited.emplace(p.cid, p.sid);
-    }
-  }
-  return cs;
+  return MergeLists<false>(idx, members);
 }
 
 namespace {
@@ -185,39 +164,94 @@ const Contour& AsContour(const ReachabilityOracle::SetSummary& s) {
   return static_cast<const ContourSummary&>(s).contour;
 }
 
-// Successor-scan targets: the sorted list plus its per-chain grouping
-// (member indices in ascending sid order), computed once and reused for
-// every source scan.
+// Member indices of a node list grouped per chain: `order` lists them
+// by (cid, sid, node), sid descending for descending groupings, and run
+// r spans order[run_begin[r], run_begin[r + 1]).
+struct ChainRuns {
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> run_begin;
+
+  size_t NumRuns() const { return run_begin.size() - 1; }
+  std::span<const uint32_t> Run(size_t r) const {
+    return {order.data() + run_begin[r], order.data() + run_begin[r + 1]};
+  }
+};
+
+ChainRuns GroupByChain(const ThreeHopIndex& idx,
+                       std::span<const NodeId> nodes, bool ascending) {
+  // (cid, sid) and (node, index) packed into two words; flipping the
+  // sid bits turns the ascending sort into a descending one.
+  struct Key {
+    uint64_t pos, node;
+    bool operator<(const Key& o) const {
+      return pos != o.pos ? pos < o.pos : node < o.node;
+    }
+  };
+  std::vector<Key> keys(nodes.size());
+  for (uint32_t i = 0; i < nodes.size(); ++i) {
+    const ChainPos p = idx.PosOf(nodes[i]);
+    keys[i] = {uint64_t{p.cid} << 32 | (ascending ? p.sid : ~p.sid),
+               uint64_t{nodes[i]} << 32 | i};
+  }
+  std::sort(keys.begin(), keys.end());
+  ChainRuns runs;
+  runs.order.reserve(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (k == 0 || keys[k].pos >> 32 != keys[k - 1].pos >> 32) {
+      runs.run_begin.push_back(static_cast<uint32_t>(k));
+    }
+    runs.order.push_back(static_cast<uint32_t>(keys[k].node));
+  }
+  runs.run_begin.push_back(static_cast<uint32_t>(keys.size()));
+  return runs;
+}
+
+// Procedure 7 inner loop on one chain: scans `run` (indices into
+// `nodes`, ascending sid) against successor contour cs and returns the
+// length of its unreachable prefix. Every later member is reachable:
+// once one chain node is reachable from the source set, all larger ones
+// are. Each Lin segment is walked at most once per chain: a member
+// walks its complete predecessor list only down to the previous
+// member's position (the visited floor), which that member already
+// found unmatched, and a member at an equal sid (another data node of
+// one SCC) walks nothing new.
+size_t UnreachedPrefix(const ThreeHopIndex& idx, const Contour& cs,
+                       std::span<const NodeId> nodes,
+                       std::span<const uint32_t> run) {
+  IndexStats& st = idx.stats();
+  bool have_floor = false;
+  uint32_t floor = 0;
+  for (size_t r = 0; r < run.size(); ++r) {
+    const NodeId v = nodes[run[r]];
+    const auto cond = idx.CondOf(v);
+    const ChainPos p = idx.PosOfCond(cond);
+    if (ProbeSuccessorContour(cs, p, idx.CondCyclic(cond), v)) return r;
+    if (have_floor && p.sid <= floor) continue;
+    for (auto cur = idx.Lin(cond).empty() ? idx.PrevWithLin(cond) : cond;
+         cur != ThreeHopIndex::kNoCond &&
+         !(have_floor && idx.PosOfCond(cur).sid <= floor);
+         cur = idx.PrevWithLin(cur)) {
+      for (const ChainPos& e : idx.Lin(cur)) {
+        ++st.elements_looked_up;
+        if (ProbeSuccessorContour(cs, e, true, v)) return r;
+      }
+    }
+    floor = p.sid;
+    have_floor = true;
+  }
+  return run.size();
+}
+
+// Successor-scan targets: the target list plus its ascending per-chain
+// grouping, computed once and reused for every source scan.
 class ChainGroupedTargets : public ReachabilityOracle::SetSummary {
  public:
-  ChainGroupedTargets(const ThreeHopIndex& idx,
-                      std::span<const NodeId> targets)
-      : targets_(targets.begin(), targets.end()) {
-    std::unordered_map<uint32_t, std::vector<uint32_t>> by_chain;
-    for (uint32_t wi = 0; wi < targets_.size(); ++wi) {
-      by_chain[idx.PosOf(targets_[wi]).cid].push_back(wi);
-    }
-    chains_.reserve(by_chain.size());
-    for (auto& [cid, members] : by_chain) {
-      std::sort(members.begin(), members.end(),
-                [&](uint32_t a, uint32_t b) {
-                  const uint32_t sa = idx.PosOf(targets_[a]).sid;
-                  const uint32_t sb = idx.PosOf(targets_[b]).sid;
-                  return sa != sb ? sa < sb : targets_[a] < targets_[b];
-                });
-      chains_.emplace_back(cid, std::move(members));
-    }
-  }
+  ChainGroupedTargets(const ThreeHopIndex& idx, std::span<const NodeId> nodes)
+      : targets(nodes.begin(), nodes.end()),
+        runs(GroupByChain(idx, nodes, /*ascending=*/true)) {}
 
-  const std::vector<NodeId>& targets() const { return targets_; }
-  const std::vector<std::pair<uint32_t, std::vector<uint32_t>>>& chains()
-      const {
-    return chains_;
-  }
-
- private:
-  std::vector<NodeId> targets_;
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> chains_;
+  const std::vector<NodeId> targets;
+  const ChainRuns runs;
 };
 
 }  // namespace
@@ -257,21 +291,13 @@ void ContourIndex::ReachesSetsBatch(
   // Procedure 6 inner loop: sources grouped per chain, descending sid,
   // so positive valuations are inherited down-chain; each Lout segment
   // is walked at most once per chain, shared across all target sets.
-  std::unordered_map<uint32_t, std::vector<uint32_t>> chains;
-  for (uint32_t i = 0; i < sources.size(); ++i) {
-    chains[PosOf(sources[i]).cid].push_back(i);
-  }
+  const ChainRuns runs = GroupByChain(*this, sources, /*ascending=*/false);
   std::vector<char> val(num_sets, 0);
-  for (auto& [cid, idxs] : chains) {
-    std::sort(idxs.begin(), idxs.end(), [&](uint32_t a, uint32_t b) {
-      const uint32_t sa = PosOf(sources[a]).sid;
-      const uint32_t sb = PosOf(sources[b]).sid;
-      return sa != sb ? sa > sb : sources[a] < sources[b];
-    });
+  for (size_t r = 0; r < runs.NumRuns(); ++r) {
     std::fill(val.begin(), val.end(), 0);
     uint32_t visited = UINT32_MAX;  // lowest walked start sid
 
-    for (uint32_t i : idxs) {
+    for (uint32_t i : runs.Run(r)) {
       const NodeId v = sources[i];
       const auto cond = CondOf(v);
       const ChainPos p = PosOfCond(cond);
@@ -313,55 +339,16 @@ void ContourIndex::ReachesSetsBatch(
 void ContourIndex::SetReachesBatch(const SetSummary& sources,
                                    std::span<const NodeId> targets,
                                    std::vector<char>* out) const {
-  IndexStats& st = stats();
   const Contour& cs = AsContour(sources);
   out->assign(targets.size(), 0);
 
-  // Procedure 7 inner loop: targets grouped per chain, ascending sid,
-  // with the early break — once one chain node is reachable from the
-  // source set, all larger ones are — and each Lin segment walked at
-  // most once per chain.
-  std::unordered_map<uint32_t, std::vector<uint32_t>> chains;
-  for (uint32_t i = 0; i < targets.size(); ++i) {
-    chains[PosOf(targets[i]).cid].push_back(i);
-  }
-  for (auto& [cid, idxs] : chains) {
-    std::sort(idxs.begin(), idxs.end(), [&](uint32_t a, uint32_t b) {
-      const uint32_t sa = PosOf(targets[a]).sid;
-      const uint32_t sb = PosOf(targets[b]).sid;
-      return sa != sb ? sa < sb : targets[a] < targets[b];
-    });
-    bool reached = false;
-    uint32_t visited_floor = 0;
-    bool have_floor = false;
-    for (uint32_t i : idxs) {
-      const NodeId v = targets[i];
-      if (!reached) {
-        const auto cond = CondOf(v);
-        const ChainPos p = PosOfCond(cond);
-        if (ProbeSuccessorContour(cs, p, CondCyclic(cond), v)) {
-          reached = true;
-        } else if (!have_floor || p.sid > visited_floor) {
-          // Walk the new Lin segment (p.sid down to the floor).
-          auto cur = Lin(cond).empty() ? PrevWithLin(cond) : cond;
-          while (cur != kNoCond) {
-            const ChainPos pc = PosOfCond(cur);
-            if (have_floor && pc.sid <= visited_floor) break;
-            for (const ChainPos& e : Lin(cur)) {
-              ++st.elements_looked_up;
-              if (ProbeSuccessorContour(cs, e, true, v)) {
-                reached = true;
-                break;
-              }
-            }
-            if (reached) break;
-            cur = PrevWithLin(cur);
-          }
-          visited_floor = p.sid;
-          have_floor = true;
-        }
-      }
-      if (reached) (*out)[i] = 1;
+  // Procedure 7: targets grouped per chain, ascending sid.
+  const ChainRuns runs = GroupByChain(*this, targets, /*ascending=*/true);
+  for (size_t r = 0; r < runs.NumRuns(); ++r) {
+    const auto run = runs.Run(r);
+    for (size_t j = UnreachedPrefix(*this, cs, targets, run); j < run.size();
+         ++j) {
+      (*out)[run[j]] = 1;
     }
   }
 }
@@ -374,34 +361,19 @@ ContourIndex::PrepareSuccessorTargets(std::span<const NodeId> targets) const {
 void ContourIndex::SuccessorsAmong(NodeId from, const SetSummary& targets,
                                    std::vector<uint32_t>* out) const {
   const auto& grouped = static_cast<const ChainGroupedTargets&>(targets);
-  const auto& nodes = grouped.targets();
-
   // Section 4.3 matching-graph scan: one singleton successor contour
-  // per source, probed per chain until the first hit (same early break
-  // as the upward batch).
-  const NodeId vv[1] = {from};
-  Contour cs = MergeSuccLists(*this, std::span<const NodeId>(vv, 1));
+  // per source, scanned per chain like the upward batch.
+  const Contour cs = MergeSuccLists(*this, std::span<const NodeId>(&from, 1));
   const size_t appended_from = out->size();
-  for (const auto& [cid, members] : grouped.chains()) {
-    bool reached = false;
-    for (uint32_t wi : members) {
-      if (!reached) {
-        const NodeId w = nodes[wi];
-        const auto cond = CondOf(w);
-        const ChainPos p = PosOfCond(cond);
-        if (ProbeSuccessorContour(cs, p, CondCyclic(cond), w)) {
-          reached = true;
-        } else {
-          reached = ForEachPredecessorEntry(cond, [&](const ChainPos& y) {
-            return ProbeSuccessorContour(cs, y, true, w);
-          });
-        }
-      }
-      if (reached) out->push_back(wi);
+  for (size_t r = 0; r < grouped.runs.NumRuns(); ++r) {
+    const auto run = grouped.runs.Run(r);
+    for (size_t j = UnreachedPrefix(*this, cs, grouped.targets, run);
+         j < run.size(); ++j) {
+      out->push_back(run[j]);
     }
   }
-  // Chains are visited in hash order; restore the ascending-index
-  // contract on the appended suffix only.
+  // Runs are ordered by chain; restore the ascending-index contract on
+  // the appended suffix only.
   std::sort(out->begin() + appended_from, out->end());
 }
 

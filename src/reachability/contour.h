@@ -1,8 +1,8 @@
 #ifndef GTPQ_REACHABILITY_CONTOUR_H_
 #define GTPQ_REACHABILITY_CONTOUR_H_
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "reachability/three_hop.h"
@@ -24,27 +24,42 @@ struct ContourEntry {
 /// A predecessor or successor contour: chain id -> extreme entry
 /// (maximum sid for predecessor contours, minimum for successor ones).
 /// This is the merged, duplicate-free complete list of Section 4.2.1.
+///
+/// Chain ids of the chain cover are dense, so the contour is an array
+/// indexed by chain id; a slot holding kAbsentSid is an absent chain.
 class Contour {
  public:
-  using Map = std::unordered_map<uint32_t, ContourEntry>;
+  static constexpr uint32_t kAbsentSid = UINT32_MAX;
 
-  const Map& entries() const { return entries_; }
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
+  Contour() = default;
+  /// An empty contour over chain ids [0, num_chains).
+  explicit Contour(size_t num_chains)
+      : entries_(num_chains, ContourEntry{kAbsentSid, false, kInvalidNode}) {}
+
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
 
   /// Finds the entry for a chain; nullptr when absent.
   const ContourEntry* Find(uint32_t cid) const {
-    auto it = entries_.find(cid);
-    return it == entries_.end() ? nullptr : &it->second;
+    if (cid >= entries_.size() || entries_[cid].sid == kAbsentSid) {
+      return nullptr;
+    }
+    return &entries_[cid];
   }
 
-  /// Keeps the larger-sid entry (predecessor contours).
-  void UpdateMax(uint32_t cid, const ContourEntry& e);
+  /// Keeps the larger-sid entry (predecessor contours). `cid` must be
+  /// below the chain count the contour was built for.
+  void UpdateMax(uint32_t cid, const ContourEntry& e) { Update(cid, e, true); }
   /// Keeps the smaller-sid entry (successor contours).
-  void UpdateMin(uint32_t cid, const ContourEntry& e);
+  void UpdateMin(uint32_t cid, const ContourEntry& e) {
+    Update(cid, e, false);
+  }
 
  private:
-  Map entries_;
+  void Update(uint32_t cid, const ContourEntry& e, bool keep_max);
+
+  std::vector<ContourEntry> entries_;
+  size_t size_ = 0;
 };
 
 /// Procedure 2 (MergePredLists): merges the complete predecessor lists
@@ -97,7 +112,13 @@ bool ProbeSuccessorContour(const Contour& cs, const ChainPos& y,
 ///    with the early break — after the first reachable node all larger
 ///    ones are — and walk each Lin segment at most once (Procedure 7);
 ///  * successor scans probe a per-source singleton contour against
-///    chain-grouped targets (the Section 4.3 matching-graph scan).
+///    chain-grouped targets with the same ascending scan as the upward
+///    batch (the Section 4.3 matching-graph scan).
+///
+/// Sources and targets are grouped per chain by one sort on (cid, sid,
+/// node), so probe order, and with it every counter, is independent of
+/// the input order. Summaries are immutable once built and live as long
+/// as the query step that made them.
 ///
 /// The plain `three_hop` backend answers the same operations through
 /// the pairwise defaults; comparing the two isolates the contour

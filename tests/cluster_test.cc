@@ -727,9 +727,19 @@ TEST(ShardRouterTest, NativeUpdateCommitsEpochBarrier) {
   }
   ASSERT_TRUE(found);
 
+  // Re-probing shard 1's contribution sends one PROBE per boundary
+  // vertex of the shard, and each is counted like a query probe.
+  obs::Counter* shard1_probes = obs::Registry::Global().GetCounter(
+      "gtpq_shard_probes_total{shard=\"1\"}");
+  const auto [first, last] =
+      map.overlay.IdRange(map.ranges[1].begin, map.ranges[1].end);
+  ASSERT_LT(first, last);
+  const uint64_t probes_before = shard1_probes->Value();
+
   UpdateBatch batch;
   batch.add_edges.push_back({from, to});
   ASSERT_TRUE(cluster.router->ApplyNativeUpdate(batch).ok());
+  EXPECT_EQ(shard1_probes->Value() - probes_before, last - first);
 
   // Every shard moved to the same epoch — the barrier holds even for
   // shards that only saw the empty commit.

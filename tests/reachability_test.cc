@@ -161,6 +161,63 @@ TEST_P(IndexEquivalence, ContoursMatchSetReachability) {
   }
 }
 
+// Answers one successor scan both ways — the matching-graph path
+// (PrepareSuccessorTargets + SuccessorsAmong) and the upward-prune path
+// (SummarizeSources({from}) + SetReachesBatch) — checks both against the
+// closure and requires equal #index for the two. Returns how many of
+// `targets` share a chain with an earlier target.
+size_t CheckSuccessorScan(const ContourIndex& idx,
+                          const TransitiveClosure& tc, NodeId from,
+                          const std::vector<NodeId>& targets) {
+  IndexStats& st = idx.stats();
+  st = IndexStats{};
+  const NodeId one[1] = {from};
+  std::vector<char> reached;
+  idx.SetReachesBatch(*idx.SummarizeSources(one), targets, &reached);
+  const uint64_t batch_lookups = st.elements_looked_up;
+
+  st = IndexStats{};
+  std::vector<uint32_t> among{7};  // SuccessorsAmong appends
+  idx.SuccessorsAmong(from, *idx.PrepareSuccessorTargets(targets), &among);
+  EXPECT_EQ(st.elements_looked_up, batch_lookups) << "from=" << from;
+
+  std::vector<uint32_t> expect{7};
+  for (uint32_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(reached[i] != 0, tc.Reaches(from, targets[i]))
+        << "from=" << from << " to=" << targets[i];
+    if (tc.Reaches(from, targets[i])) expect.push_back(i);
+  }
+  EXPECT_EQ(among, expect) << "from=" << from;
+
+  std::vector<char> chain_seen(idx.NumChains(), 0);
+  size_t shared = 0;
+  for (NodeId t : targets) {
+    char& seen = chain_seen[idx.PosOf(t).cid];
+    shared += seen;
+    seen = 1;
+  }
+  return shared;
+}
+
+TEST_P(IndexEquivalence, SuccessorScanMatchesUpwardBatch) {
+  DataGraph g = MakeCaseGraph();
+  auto tc = TransitiveClosure::Build(g.graph());
+  auto idx = ContourIndex::Build(g.graph());
+  Rng rng(GetParam().seed * 131 + 7);
+  size_t shared = 0;
+  for (int round = 0; round < 6; ++round) {
+    // Dense target sets, so chains hold several targets each.
+    std::vector<NodeId> targets;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      if (rng.NextBounded(3) != 0) targets.push_back(v);
+    }
+    for (NodeId from = 0; from < g.NumNodes(); ++from) {
+      shared += CheckSuccessorScan(idx, tc, from, targets);
+    }
+  }
+  EXPECT_GT(shared, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, IndexEquivalence,
     ::testing::Values(
@@ -227,6 +284,38 @@ TEST(ContourTest, EmptyMemberSet) {
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_FALSE(NodeReachesContour(idx, v, cp));
   }
+}
+
+TEST(ContourTest, SuccessorScanFloorAcrossOneScc) {
+  // 0 -> {1, 2, 3} (one SCC) -> 4, plus 5 -> 4: the SCC's data nodes sit
+  // at one chain position, so after the first of them the floor walk has
+  // nothing new to read and only their self probes differ.
+  DataGraph g = testing::MakeGraph(
+      6, {0, 0, 0, 0, 0, 0},
+      {{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}, {5, 4}});
+  auto tc = TransitiveClosure::Build(g.graph());
+  auto idx = ContourIndex::Build(g.graph());
+  ASSERT_EQ(idx.CondOf(1), idx.CondOf(3));
+  const std::vector<NodeId> targets{4, 3, 1, 2, 0, 5};
+  size_t shared = 0;
+  for (NodeId from = 0; from < g.NumNodes(); ++from) {
+    shared += CheckSuccessorScan(idx, tc, from, targets);
+  }
+  EXPECT_GT(shared, 0u);
+}
+
+TEST(ContourTest, FindOutsideTheContour) {
+  EXPECT_EQ(Contour().Find(0), nullptr);
+  EXPECT_TRUE(Contour().empty());
+
+  DataGraph g = SmallDag();
+  auto idx = ThreeHopIndex::Build(g.graph());
+  const std::vector<NodeId> members{3};
+  Contour cp = MergePredLists(idx, members);
+  const auto cid = static_cast<uint32_t>(idx.NumChains());
+  EXPECT_NE(cp.Find(idx.PosOf(3).cid), nullptr);
+  EXPECT_EQ(cp.Find(cid), nullptr);
+  EXPECT_EQ(cp.Find(UINT32_MAX), nullptr);
 }
 
 TEST(SspiTest, IndexSizeIsSurplusEdges) {
