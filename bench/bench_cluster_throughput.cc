@@ -26,118 +26,27 @@
 // Defaults are deliberately small: unlike bench_net_throughput, every
 // reachability probe inside a routed query is a loopback RTT to a
 // shard, so per-query latency is dominated by probe fan-out.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unistd.h>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/wire_load.h"
 #include "cluster/partition.h"
 #include "common/logging.h"
-#include "common/timer.h"
 #include "graph/graph_io.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "query/query_generator.h"
-#include "runtime/query_server.h"
 #include "workload/graph_gen_spec.h"
 
 using namespace gtpq;
 using namespace gtpq::bench;
 
 namespace {
-
-struct ClientStats {
-  std::vector<double> latencies_us;
-  uint64_t mismatches = 0;
-  uint64_t errors = 0;
-};
-
-/// One client connection driving `requests` pipelined queries against
-/// the router. Mirrors bench_net_throughput's client loop.
-ClientStats RunClient(const std::string& host, uint16_t port,
-                      const std::vector<std::string>& texts,
-                      const std::vector<QueryResult>& expected,
-                      size_t requests, size_t pipeline, uint64_t limit) {
-  ClientStats out;
-  net::NetClient client;
-  const Status connected = net::ConnectWithRetry(&client, host, port);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "client: %s\n", connected.ToString().c_str());
-    out.errors = requests;
-    return out;
-  }
-  Timer clock;
-  struct InFlight {
-    size_t query_index;
-    double sent_us;
-  };
-  std::unordered_map<uint64_t, InFlight> inflight;
-  size_t sent = 0, done = 0;
-
-  auto send_next = [&]() -> bool {
-    const size_t index = sent % texts.size();
-    auto id = client.SendQuery(texts[index], limit);
-    if (!id.ok()) {
-      std::fprintf(stderr, "client: %s\n", id.status().ToString().c_str());
-      return false;
-    }
-    inflight.emplace(*id, InFlight{index, clock.ElapsedMicros()});
-    ++sent;
-    return true;
-  };
-
-  for (size_t i = 0; i < std::min(pipeline, requests); ++i) {
-    if (!send_next()) {
-      out.errors = requests;
-      return out;
-    }
-  }
-  while (done < requests) {
-    auto frame = client.Receive();
-    if (!frame.ok()) {
-      std::fprintf(stderr, "client: %s\n",
-                   frame.status().ToString().c_str());
-      out.errors += requests - done;
-      return out;
-    }
-    const double now_us = clock.ElapsedMicros();
-    auto it = inflight.find(frame->request_id);
-    if (it == inflight.end() ||
-        frame->type != net::FrameType::kResult) {
-      ++out.errors;
-      if (it != inflight.end()) inflight.erase(it);
-    } else {
-      out.latencies_us.push_back(now_us - it->second.sent_us);
-      net::WireResult result;
-      if (!net::DecodeResult(frame->payload, &result).ok() ||
-          result.result != expected[it->second.query_index]) {
-        ++out.mismatches;
-      }
-      inflight.erase(it);
-    }
-    ++done;
-    if (sent < requests && !send_next()) {
-      out.errors += requests - done;
-      return out;
-    }
-  }
-  return out;
-}
-
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const size_t index = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[index];
-}
 
 /// A fully self-hosted cluster: shard servers plus a router server
 /// whose engine speaks `cluster:` to them. Holds the shard graphs
@@ -268,48 +177,28 @@ int main(int argc, char** argv) {
   }
   const DataGraph g = generated.TakeValue();
 
-  std::vector<Gtpq> queries;
-  for (uint64_t seed = 1;
-       queries.size() < num_queries && seed < 40 * num_queries; ++seed) {
-    QueryGenOptions qo;
-    qo.num_nodes = 5 + seed % 3;
-    qo.pc_probability = 0.2;
-    qo.output_fraction = 0.6;
-    qo.seed = seed * 17 + 3;
-    auto q = GenerateRandomQueryWithRetry(g, qo);
-    if (q.has_value()) queries.push_back(std::move(*q));
-  }
-  if (queries.empty()) {
-    std::fprintf(stderr, "query generator starved\n");
-    return 1;
-  }
-  std::vector<std::string> texts;
-  for (const Gtpq& q : queries) {
-    texts.push_back(q.ToString(g.attr_names()));
-  }
-
   // The single in-process QueryServer over the UNPARTITIONED graph is
   // the differential baseline: a routed cluster of any shard count must
   // answer byte-identically.
-  QueryServerOptions ref_options;
-  ref_options.num_threads = threads;
-  ref_options.engine_spec = "gtea";
-  GteaOptions ref_eval;
-  ref_eval.result_limit = static_cast<size_t>(limit);
-  QueryServer reference(g, ref_options);
-  const std::vector<QueryResult> expected =
-      reference.EvaluateBatch(queries, nullptr, ref_eval);
+  const WireWorkload workload =
+      MakeWireWorkload(g, num_queries, threads, "gtea", limit);
+  if (workload.queries.empty()) {
+    std::fprintf(stderr, "query generator starved\n");
+    return 1;
+  }
 
   std::printf("Cluster serving throughput: %s (%zu nodes), %zu-query "
               "pool, %zu requests/client\n",
-              gen_spec.c_str(), g.NumNodes(), queries.size(), requests);
+              gen_spec.c_str(), g.NumNodes(), workload.queries.size(),
+              requests);
   std::printf("%8s %8s %10s %10s %12s %10s %10s %10s\n", "shards",
               "clients", "pipeline", "requests", "qps", "p50 ms",
               "p99 ms", "wall ms");
 
   JsonReport report("cluster_throughput");
   report.AddMeta("nodes", static_cast<uint64_t>(g.NumNodes()));
-  report.AddMeta("pool_queries", static_cast<uint64_t>(queries.size()));
+  report.AddMeta("pool_queries",
+                 static_cast<uint64_t>(workload.queries.size()));
   report.AddMeta("result_limit", limit);
 
   uint64_t total_requests = 0, total_bad = 0;
@@ -347,48 +236,26 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "--clients/--pipeline must be > 0\n");
           return 2;
         }
-        std::vector<ClientStats> stats(clients);
-        Timer wall;
-        {
-          std::vector<std::thread> workers;
-          for (size_t c = 0; c < clients; ++c) {
-            workers.emplace_back([&, c] {
-              stats[c] = RunClient(host, port, texts, expected, requests,
-                                   pipeline, limit);
-            });
-          }
-          for (std::thread& worker : workers) worker.join();
-        }
-        const double wall_ms = wall.ElapsedMillis();
-
-        std::vector<double> latencies;
-        uint64_t bad = 0;
-        for (const ClientStats& s : stats) {
-          latencies.insert(latencies.end(), s.latencies_us.begin(),
-                           s.latencies_us.end());
-          bad += s.mismatches + s.errors;
-        }
-        std::sort(latencies.begin(), latencies.end());
-        const uint64_t answered = latencies.size();
-        const double qps = wall_ms > 0 ? 1000.0 * answered / wall_ms : 0;
-        const double p50 = Percentile(latencies, 0.50) / 1000.0;
-        const double p99 = Percentile(latencies, 0.99) / 1000.0;
+        const WireLoadResult r = RunWireLoad(host, port, workload, clients,
+                                             requests, pipeline, limit);
+        const uint64_t bad = r.mismatches + r.errors;
         std::printf("%8zu %8zu %10zu %10llu %12.0f %10.2f %10.2f "
                     "%10.1f%s\n",
                     shards, clients, pipeline,
-                    static_cast<unsigned long long>(answered), qps, p50,
-                    p99, wall_ms, bad > 0 ? "  [MISMATCHES]" : "");
+                    static_cast<unsigned long long>(r.answered), r.qps,
+                    r.p50_ms, r.p99_ms, r.wall_ms,
+                    bad > 0 ? "  [MISMATCHES]" : "");
         report.AddRow()
             .Add("shards", static_cast<uint64_t>(shards))
             .Add("clients", static_cast<uint64_t>(clients))
             .Add("pipeline", static_cast<uint64_t>(pipeline))
-            .Add("requests", answered)
-            .Add("queries_per_sec", qps)
-            .Add("p50_ms", p50)
-            .Add("p99_ms", p99)
-            .Add("wall_ms", wall_ms)
+            .Add("requests", r.answered)
+            .Add("queries_per_sec", r.qps)
+            .Add("p50_ms", r.p50_ms)
+            .Add("p99_ms", r.p99_ms)
+            .Add("wall_ms", r.wall_ms)
             .Add("mismatches", bad);
-        total_requests += answered;
+        total_requests += r.answered;
         total_bad += bad;
       }
     }

@@ -22,123 +22,22 @@
 //                              GTPQ_BENCH_SCALE like the other benches)
 //   --json=<path>              machine-readable rows (CI perf tracking)
 //   --quiet                    suppress log output below error level
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/wire_load.h"
 #include "common/logging.h"
-#include "common/timer.h"
 #include "graph/generators.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "query/query_generator.h"
-#include "runtime/query_server.h"
 #include "workload/graph_gen_spec.h"
 
 using namespace gtpq;
 using namespace gtpq::bench;
-
-namespace {
-
-struct ClientStats {
-  std::vector<double> latencies_us;
-  uint64_t mismatches = 0;
-  uint64_t errors = 0;
-};
-
-/// One client connection driving `requests` pipelined queries.
-ClientStats RunClient(const std::string& host, uint16_t port,
-                      const std::vector<std::string>& texts,
-                      const std::vector<QueryResult>& expected,
-                      size_t requests, size_t pipeline, uint64_t limit) {
-  ClientStats out;
-  net::NetClient client;
-  // Retry ECONNREFUSED with bounded backoff: in CI the external server
-  // may still be binding when the bench launches, and a fixed sleep in
-  // the workflow is exactly the race this absorbs.
-  const Status connected = net::ConnectWithRetry(&client, host, port);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "client: %s\n", connected.ToString().c_str());
-    out.errors = requests;
-    return out;
-  }
-  Timer clock;
-  struct InFlight {
-    size_t query_index;
-    double sent_us;
-  };
-  std::unordered_map<uint64_t, InFlight> inflight;
-  size_t sent = 0, done = 0;
-
-  auto send_next = [&]() -> bool {
-    const size_t index = sent % texts.size();
-    auto id = client.SendQuery(texts[index], limit);
-    if (!id.ok()) {
-      std::fprintf(stderr, "client: %s\n", id.status().ToString().c_str());
-      return false;
-    }
-    inflight.emplace(*id, InFlight{index, clock.ElapsedMicros()});
-    ++sent;
-    return true;
-  };
-
-  for (size_t i = 0; i < std::min(pipeline, requests); ++i) {
-    if (!send_next()) {
-      out.errors = requests;
-      return out;
-    }
-  }
-  while (done < requests) {
-    auto frame = client.Receive();
-    if (!frame.ok()) {
-      std::fprintf(stderr, "client: %s\n",
-                   frame.status().ToString().c_str());
-      out.errors += requests - done;
-      return out;
-    }
-    const double now_us = clock.ElapsedMicros();
-    auto it = inflight.find(frame->request_id);
-    if (it == inflight.end() ||
-        frame->type != net::FrameType::kResult) {
-      ++out.errors;
-      if (it != inflight.end()) inflight.erase(it);
-    } else {
-      out.latencies_us.push_back(now_us - it->second.sent_us);
-      net::WireResult result;
-      if (!net::DecodeResult(frame->payload, &result).ok() ||
-          result.result != expected[it->second.query_index]) {
-        ++out.mismatches;
-      }
-      inflight.erase(it);
-    }
-    ++done;
-    // Replenish on EVERY consumed response — error frames included —
-    // or the pipeline drains to zero outstanding requests and the
-    // next Receive() blocks forever.
-    if (sent < requests && !send_next()) {
-      out.errors += requests - done;
-      return out;
-    }
-  }
-  return out;
-}
-
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const size_t index = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[index];
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto json_path = JsonFlag(argc, argv);
@@ -187,37 +86,14 @@ int main(int argc, char** argv) {
     return RandomDag(go);
   }();
 
-  std::vector<Gtpq> queries;
-  for (uint64_t seed = 1;
-       queries.size() < num_queries && seed < 40 * num_queries; ++seed) {
-    QueryGenOptions qo;
-    qo.num_nodes = 5 + seed % 3;
-    qo.pc_probability = 0.2;
-    qo.output_fraction = 0.6;
-    qo.seed = seed * 17 + 3;
-    auto q = GenerateRandomQueryWithRetry(g, qo);
-    if (q.has_value()) queries.push_back(std::move(*q));
-  }
-  if (queries.empty()) {
+  // The in-process reference inside the workload is the differential
+  // baseline every wire answer is checked against.
+  const WireWorkload workload =
+      MakeWireWorkload(g, num_queries, threads, engine, limit);
+  if (workload.queries.empty()) {
     std::fprintf(stderr, "query generator starved\n");
     return 1;
   }
-  const DataGraph& graph = g;
-  std::vector<std::string> texts;
-  for (const Gtpq& q : queries) {
-    texts.push_back(q.ToString(graph.attr_names()));
-  }
-
-  // Independent in-process reference over the same workload — the
-  // differential baseline every wire answer is checked against.
-  QueryServerOptions ref_options;
-  ref_options.num_threads = threads;
-  ref_options.engine_spec = engine;
-  GteaOptions ref_eval;
-  ref_eval.result_limit = static_cast<size_t>(limit);
-  QueryServer reference(g, ref_options);
-  const std::vector<QueryResult> expected =
-      reference.EvaluateBatch(queries, nullptr, ref_eval);
 
   // Server: self-hosted unless --connect= points elsewhere.
   std::unique_ptr<net::NetServer> hosted;
@@ -243,14 +119,15 @@ int main(int argc, char** argv) {
 
   std::printf("Network serving throughput: %zu-node graph, %zu-query "
               "pool, pipeline %zu, %zu requests/client — %s:%u\n",
-              g.NumNodes(), queries.size(), pipeline, requests,
+              g.NumNodes(), workload.queries.size(), pipeline, requests,
               host.c_str(), port);
   std::printf("%8s %10s %12s %10s %10s %10s\n", "clients", "requests",
               "qps", "p50 ms", "p99 ms", "wall ms");
 
   JsonReport report("net_throughput");
   report.AddMeta("nodes", static_cast<uint64_t>(g.NumNodes()));
-  report.AddMeta("pool_queries", static_cast<uint64_t>(queries.size()));
+  report.AddMeta("pool_queries",
+                 static_cast<uint64_t>(workload.queries.size()));
   report.AddMeta("pipeline", static_cast<uint64_t>(pipeline));
   report.AddMeta("result_limit", limit);
 
@@ -261,48 +138,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "invalid --clients entry '%s'\n", flag.c_str());
       return 2;
     }
-    std::vector<ClientStats> stats(clients);
-    Timer wall;
-    {
-      std::vector<std::thread> workers;
-      for (size_t c = 0; c < clients; ++c) {
-        workers.emplace_back([&, c] {
-          stats[c] = RunClient(host, port, texts, expected, requests,
-                               pipeline, limit);
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-    }
-    const double wall_ms = wall.ElapsedMillis();
-
-    std::vector<double> latencies;
-    uint64_t mismatches = 0, errors = 0;
-    for (const ClientStats& s : stats) {
-      latencies.insert(latencies.end(), s.latencies_us.begin(),
-                       s.latencies_us.end());
-      mismatches += s.mismatches;
-      errors += s.errors;
-    }
-    std::sort(latencies.begin(), latencies.end());
-    const uint64_t answered = latencies.size();
-    const double qps = wall_ms > 0 ? 1000.0 * answered / wall_ms : 0;
-    const double p50 = Percentile(latencies, 0.50) / 1000.0;
-    const double p99 = Percentile(latencies, 0.99) / 1000.0;
+    const WireLoadResult r =
+        RunWireLoad(host, port, workload, clients, requests, pipeline, limit);
     std::printf("%8zu %10llu %12.0f %10.2f %10.2f %10.1f%s\n", clients,
-                static_cast<unsigned long long>(answered), qps, p50, p99,
-                wall_ms,
-                mismatches + errors > 0 ? "  [MISMATCHES]" : "");
+                static_cast<unsigned long long>(r.answered), r.qps, r.p50_ms,
+                r.p99_ms, r.wall_ms,
+                r.mismatches + r.errors > 0 ? "  [MISMATCHES]" : "");
     report.AddRow()
         .Add("clients", static_cast<uint64_t>(clients))
-        .Add("requests", answered)
-        .Add("queries_per_sec", qps)
-        .Add("p50_ms", p50)
-        .Add("p99_ms", p99)
-        .Add("wall_ms", wall_ms)
-        .Add("mismatches", mismatches + errors);
-    total_requests += answered;
-    total_mismatches += mismatches;
-    total_errors += errors;
+        .Add("requests", r.answered)
+        .Add("queries_per_sec", r.qps)
+        .Add("p50_ms", r.p50_ms)
+        .Add("p99_ms", r.p99_ms)
+        .Add("wall_ms", r.wall_ms)
+        .Add("mismatches", r.mismatches + r.errors);
+    total_requests += r.answered;
+    total_mismatches += r.mismatches;
+    total_errors += r.errors;
   }
 
   // The STATS frame and this report must agree: the server-side query

@@ -164,8 +164,7 @@ Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
   net::ProbeRequest fwd;
   fwd.reverse = false;
   fwd.pivot = LocalId(from, su);
-  fwd.trace_id = trace.trace_id;
-  fwd.parent_span = fwd_span;
+  fwd.trace = {trace.trace_id, fwd_span};
   if (same) fwd.ids.push_back(LocalId(to, sv));
   for (uint32_t b = exit_ids.first; b < exit_ids.second; ++b) {
     fwd.ids.push_back(LocalId(boundary[b], su));
@@ -173,8 +172,7 @@ Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
   net::ProbeRequest rev;
   rev.reverse = true;
   rev.pivot = LocalId(to, sv);
-  rev.trace_id = trace.trace_id;
-  rev.parent_span = rev_span;
+  rev.trace = {trace.trace_id, rev_span};
   for (uint32_t b = entry_ids.first; b < entry_ids.second; ++b) {
     rev.ids.push_back(LocalId(boundary[b], sv));
   }

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "dynamic/update_io.h"
@@ -49,8 +50,6 @@ Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
 }  // namespace
-
-NetClient::~NetClient() { Close(); }
 
 void NetClient::Close() {
   if (fd_ >= 0) {
@@ -161,6 +160,37 @@ Result<Frame> NetClient::ReadFrame() {
   }
 }
 
+#else  // !GTPQ_NET_CLIENT_POSIX
+
+void NetClient::Close() { parked_.clear(); }
+Status NetClient::Connect(const std::string&, uint16_t, WireLimits) {
+  return Status::Unimplemented("NetClient requires POSIX sockets");
+}
+Status NetClient::SendFrame(FrameType, uint64_t, std::string_view) {
+  return Status::Unimplemented("NetClient requires POSIX sockets");
+}
+Result<Frame> NetClient::ReadFrame() {
+  return Status::Unimplemented("NetClient requires POSIX sockets");
+}
+
+#endif  // GTPQ_NET_CLIENT_POSIX
+
+NetClient::~NetClient() { Close(); }
+
+namespace {
+
+/// Unwraps a response payload and decodes it as T.
+template <typename T>
+Result<T> DecodeAs(Result<std::string> payload,
+                   Status (*decode)(std::string_view, T*)) {
+  if (!payload.ok()) return payload.status();
+  T out;
+  GTPQ_RETURN_NOT_OK(decode(*payload, &out));
+  return out;
+}
+
+}  // namespace
+
 Result<Frame> NetClient::Receive() {
   if (!parked_.empty()) {
     Frame frame = std::move(parked_.front());
@@ -182,6 +212,12 @@ Result<Frame> NetClient::WaitFor(uint64_t request_id) {
     auto frame = ReadFrame();
     if (!frame.ok()) return frame.status();
     if (frame->request_id == request_id) return frame;
+    // Request ids start at 1, so an id-0 ERROR answers no single
+    // request: it is the server's last word before it drops the
+    // connection (a framing error), and every waiting caller gets it.
+    if (frame->request_id == 0 && frame->type == FrameType::kError) {
+      return DecodeError(frame->payload);
+    }
     parked_.push_back(std::move(*frame));
   }
 }
@@ -201,12 +237,18 @@ Result<std::string> NetClient::WaitForResponse(uint64_t request_id,
   return std::move(frame->payload);
 }
 
+Result<uint64_t> NetClient::Send(FrameType type, std::string_view payload) {
+  const uint64_t id = next_request_id_++;
+  GTPQ_RETURN_NOT_OK(SendFrame(type, id, payload));
+  return id;
+}
+
 Result<std::string> NetClient::RoundTrip(FrameType type,
                                          std::string_view payload,
                                          FrameType expect) {
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(SendFrame(type, id, payload));
-  return WaitForResponse(id, expect);
+  auto id = Send(type, payload);
+  if (!id.ok()) return id.status();
+  return WaitForResponse(*id, expect);
 }
 
 Result<WireResult> NetClient::Query(const std::string& text,
@@ -214,45 +256,26 @@ Result<WireResult> NetClient::Query(const std::string& text,
                                     uint32_t parallelism,
                                     uint64_t trace_id,
                                     uint64_t parent_span) {
-  QueryRequest request;
-  request.result_limit = result_limit;
-  request.text = text;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  auto payload = RoundTrip(FrameType::kQuery,
-                           EncodeQueryRequest(request), FrameType::kResult);
-  if (!payload.ok()) return payload.status();
-  WireResult out;
-  GTPQ_RETURN_NOT_OK(DecodeResult(*payload, &out));
-  return out;
+  auto id = SendQuery(text, result_limit, parallelism, trace_id,
+                      parent_span);
+  if (!id.ok()) return id.status();
+  return DecodeAs(WaitForResponse(*id, FrameType::kResult), &DecodeResult);
 }
 
 Result<WireBatchResult> NetClient::QueryBatch(
     const std::vector<std::string>& texts, uint64_t result_limit,
     uint32_t parallelism, uint64_t trace_id, uint64_t parent_span) {
-  BatchRequest request;
-  request.result_limit = result_limit;
-  request.texts = texts;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  auto payload =
-      RoundTrip(FrameType::kBatch, EncodeBatchRequest(request),
-                FrameType::kBatchResult);
-  if (!payload.ok()) return payload.status();
-  WireBatchResult out;
-  GTPQ_RETURN_NOT_OK(DecodeBatchResult(*payload, &out));
-  return out;
+  auto id = SendBatch(texts, result_limit, parallelism, trace_id,
+                      parent_span);
+  if (!id.ok()) return id.status();
+  return DecodeAs(WaitForResponse(*id, FrameType::kBatchResult),
+                  &DecodeBatchResult);
 }
 
 Result<ApplyOk> NetClient::ApplyUpdates(const std::string& updates_text) {
-  auto payload = RoundTrip(FrameType::kApplyUpdates, updates_text,
-                           FrameType::kApplyOk);
-  if (!payload.ok()) return payload.status();
-  ApplyOk out;
-  GTPQ_RETURN_NOT_OK(DecodeApplyOk(*payload, &out));
-  return out;
+  return DecodeAs(RoundTrip(FrameType::kApplyUpdates, updates_text,
+                            FrameType::kApplyOk),
+                  &DecodeApplyOk);
 }
 
 Result<ApplyOk> NetClient::ApplyUpdates(std::span<const UpdateBatch> batches) {
@@ -262,22 +285,18 @@ Result<ApplyOk> NetClient::ApplyUpdates(std::span<const UpdateBatch> batches) {
 }
 
 Result<ServingStats> NetClient::Stats() {
-  auto payload = RoundTrip(FrameType::kStats, std::string_view(),
-                           FrameType::kStatsResult);
-  if (!payload.ok()) return payload.status();
-  ServingStats out;
-  GTPQ_RETURN_NOT_OK(DecodeServingStats(*payload, &out));
-  return out;
+  return DecodeAs(RoundTrip(FrameType::kStats, std::string_view(),
+                            FrameType::kStatsResult),
+                  &DecodeServingStats);
 }
 
 Result<ProbeResult> NetClient::Probe(const ProbeRequest& request) {
-  auto payload = RoundTrip(FrameType::kProbe, EncodeProbeRequest(request),
-                           FrameType::kProbeResult);
-  if (!payload.ok()) return payload.status();
-  ProbeResult out;
-  GTPQ_RETURN_NOT_OK(DecodeProbeResult(*payload, &out));
-  if (out.count != request.ids.size()) {
-    return Status::Internal("probe answered " + std::to_string(out.count) +
+  auto out = DecodeAs(RoundTrip(FrameType::kProbe,
+                                EncodeProbeRequest(request),
+                                FrameType::kProbeResult),
+                      &DecodeProbeResult);
+  if (out.ok() && out->count != request.ids.size()) {
+    return Status::Internal("probe answered " + std::to_string(out->count) +
                             " targets, asked " +
                             std::to_string(request.ids.size()));
   }
@@ -286,21 +305,14 @@ Result<ProbeResult> NetClient::Probe(const ProbeRequest& request) {
 
 Result<std::string> NetClient::Observe(ObserveKind kind,
                                        uint64_t trace_id) {
-  auto payload = RoundTrip(FrameType::kObserve,
-                           EncodeObserveRequest(kind, trace_id),
-                           FrameType::kObserveResult);
-  if (!payload.ok()) return payload.status();
-  std::string out;
-  GTPQ_RETURN_NOT_OK(DecodeObserveResult(*payload, &out));
-  return out;
+  return DecodeAs(RoundTrip(FrameType::kObserve,
+                            EncodeObserveRequest(kind, trace_id),
+                            FrameType::kObserveResult),
+                  &DecodeObserveResult);
 }
 
 Result<HealthReport> NetClient::Health() {
-  auto body = Observe(ObserveKind::kHealth);
-  if (!body.ok()) return body.status();
-  HealthReport report;
-  GTPQ_RETURN_NOT_OK(DecodeHealthReport(*body, &report));
-  return report;
+  return DecodeAs(Observe(ObserveKind::kHealth), &DecodeHealthReport);
 }
 
 Result<uint64_t> NetClient::SendQuery(const std::string& text,
@@ -308,16 +320,9 @@ Result<uint64_t> NetClient::SendQuery(const std::string& text,
                                       uint32_t parallelism,
                                       uint64_t trace_id,
                                       uint64_t parent_span) {
-  QueryRequest request;
-  request.result_limit = result_limit;
-  request.text = text;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(
-      SendFrame(FrameType::kQuery, id, EncodeQueryRequest(request)));
-  return id;
+  return Send(FrameType::kQuery,
+              EncodeQueryRequest({result_limit, text, parallelism,
+                                  {trace_id, parent_span}}));
 }
 
 Result<uint64_t> NetClient::SendBatch(const std::vector<std::string>& texts,
@@ -325,31 +330,18 @@ Result<uint64_t> NetClient::SendBatch(const std::vector<std::string>& texts,
                                       uint32_t parallelism,
                                       uint64_t trace_id,
                                       uint64_t parent_span) {
-  BatchRequest request;
-  request.result_limit = result_limit;
-  request.texts = texts;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(
-      SendFrame(FrameType::kBatch, id, EncodeBatchRequest(request)));
-  return id;
+  return Send(FrameType::kBatch,
+              EncodeBatchRequest({result_limit, texts, parallelism,
+                                  {trace_id, parent_span}}));
 }
 
 Result<uint64_t> NetClient::SendProbe(const ProbeRequest& request) {
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(
-      SendFrame(FrameType::kProbe, id, EncodeProbeRequest(request)));
-  return id;
+  return Send(FrameType::kProbe, EncodeProbeRequest(request));
 }
 
 Result<uint64_t> NetClient::SendObserve(ObserveKind kind,
                                         uint64_t trace_id) {
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(SendFrame(FrameType::kObserve, id,
-                               EncodeObserveRequest(kind, trace_id)));
-  return id;
+  return Send(FrameType::kObserve, EncodeObserveRequest(kind, trace_id));
 }
 
 Status ConnectWithRetry(NetClient* client, const std::string& host,
@@ -358,10 +350,7 @@ Status ConnectWithRetry(NetClient* client, const std::string& host,
   Status last = Status::OK();
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      timespec ts;
-      ts.tv_sec = backoff_ms / 1000;
-      ts.tv_nsec = static_cast<long>(backoff_ms % 1000) * 1000000L;
-      ::nanosleep(&ts, nullptr);
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       if (backoff_ms < 500) backoff_ms = std::min(backoff_ms * 2, 500);
     }
     last = client->Connect(host, port, limits);
@@ -376,77 +365,6 @@ Status ConnectWithRetry(NetClient* client, const std::string& host,
   }
   return last;
 }
-
-#else  // !GTPQ_NET_CLIENT_POSIX
-
-NetClient::~NetClient() = default;
-void NetClient::Close() {}
-Status NetClient::Connect(const std::string&, uint16_t, WireLimits) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Status NetClient::SendFrame(FrameType, uint64_t, std::string_view) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<Frame> NetClient::ReadFrame() {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<Frame> NetClient::Receive() { return ReadFrame(); }
-Result<Frame> NetClient::WaitFor(uint64_t) { return ReadFrame(); }
-Result<std::string> NetClient::WaitForResponse(uint64_t, FrameType) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<std::string> NetClient::RoundTrip(FrameType, std::string_view,
-                                         FrameType) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<WireResult> NetClient::Query(const std::string&, uint64_t, uint32_t,
-                                    uint64_t, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<WireBatchResult> NetClient::QueryBatch(
-    const std::vector<std::string>&, uint64_t, uint32_t, uint64_t,
-    uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ApplyOk> NetClient::ApplyUpdates(const std::string&) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ApplyOk> NetClient::ApplyUpdates(std::span<const UpdateBatch>) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ServingStats> NetClient::Stats() {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<std::string> NetClient::Observe(ObserveKind, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<HealthReport> NetClient::Health() {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendQuery(const std::string&, uint64_t,
-                                      uint32_t, uint64_t, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendBatch(const std::vector<std::string>&,
-                                      uint64_t, uint32_t, uint64_t,
-                                      uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ProbeResult> NetClient::Probe(const ProbeRequest&) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendProbe(const ProbeRequest&) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendObserve(ObserveKind, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Status ConnectWithRetry(NetClient*, const std::string&, uint16_t,
-                        WireLimits, int, int) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-
-#endif  // GTPQ_NET_CLIENT_POSIX
 
 }  // namespace net
 }  // namespace gtpq

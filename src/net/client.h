@@ -28,6 +28,9 @@ namespace net {
 ///    (parked first, then off the socket), which the caller correlates
 ///    via Frame::request_id.
 ///
+/// A synchronous call is its pipelined Send* call plus
+/// WaitForResponse, so both styles share one request path.
+///
 /// One NetClient is thread-confined. Open several clients for
 /// concurrent load (see bench_net_throughput).
 class NetClient {
@@ -111,16 +114,22 @@ class NetClient {
                                       FrameType expect);
 
  private:
+  // Socket primitives (Connect and Close too); the only members with
+  // a platform-specific body.
   Status SendFrame(FrameType type, uint64_t request_id,
                    std::string_view payload);
+  Result<Frame> ReadFrame();
+
+  /// Sends under the next request id and returns it.
+  Result<uint64_t> Send(FrameType type, std::string_view payload);
   /// Blocking read of the response carrying `request_id`; responses to
-  /// other requests are parked for later Receive() calls.
+  /// other requests are parked for later Receive() calls. A request-id
+  /// 0 ERROR (the server's final word before it closes the connection)
+  /// ends the wait with its carried status.
   Result<Frame> WaitFor(uint64_t request_id);
-  /// Send + WaitFor + unwrap: an ERROR frame becomes its carried
-  /// status, a type other than `expect` a protocol error.
+  /// Send + WaitForResponse.
   Result<std::string> RoundTrip(FrameType type, std::string_view payload,
                                 FrameType expect);
-  Result<Frame> ReadFrame();
 
   int fd_ = -1;
   uint64_t next_request_id_ = 1;

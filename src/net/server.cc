@@ -192,6 +192,15 @@ struct NetServer::Impl {
                  const Status& status) {
     SendOn(conn, FrameType::kError, request_id, EncodeError(status));
   }
+  /// A malformed request ends the stream: count the protocol error,
+  /// answer with a typed ERROR, and close once it is flushed. The send
+  /// may already close (and free) `conn`.
+  void FailConnection(Connection& conn, uint64_t request_id,
+                      const Status& status) {
+    protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    conn.close_after_flush = true;
+    SendError(conn, request_id, status);
+  }
   void FlushConnection(Connection& conn);
   void UpdateInterest(Connection& conn);
   void CloseConnection(uint64_t id);
@@ -410,9 +419,7 @@ void NetServer::Impl::ReadConnection(Connection& conn) {
     if (!frame.ok()) {
       // Framing is untrustworthy from here on: answer with a final
       // typed ERROR and schedule the close.
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      conn.close_after_flush = true;
-      SendError(conn, 0, frame.status());
+      FailConnection(conn, 0, frame.status());
       break;
     }
     if (!frame->has_value()) break;
@@ -427,12 +434,10 @@ void NetServer::Impl::ReadConnection(Connection& conn) {
 void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
   frames_received.fetch_add(1, std::memory_order_relaxed);
   if (!IsRequestType(static_cast<uint8_t>(frame.type))) {
-    protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    conn.close_after_flush = true;
-    SendError(conn, frame.request_id,
-              Status::InvalidArgument(
-                  std::string("clients may not send ") +
-                  FrameTypeName(frame.type) + " frames"));
+    FailConnection(conn, frame.request_id,
+                   Status::InvalidArgument(
+                       std::string("clients may not send ") +
+                       FrameTypeName(frame.type) + " frames"));
     return;
   }
 
@@ -440,9 +445,7 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
     case FrameType::kHello: {
       const Status st = DecodeHello(frame.payload);
       if (!st.ok()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        conn.close_after_flush = true;
-        SendError(conn, frame.request_id, st);
+        FailConnection(conn, frame.request_id, st);
         return;
       }
       conn.hello_done = true;
@@ -468,9 +471,7 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       ProbeRequest request;
       const Status st = DecodeProbeRequest(frame.payload, &request);
       if (!st.ok()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        conn.close_after_flush = true;
-        SendError(conn, frame.request_id, st);
+        FailConnection(conn, frame.request_id, st);
         return;
       }
       ProbeResult result;
@@ -487,9 +488,9 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       // A traced probe leaves a server-side span parented under the
       // caller's wire span id — the shard's leg of the stitched
       // cross-process timeline.
-      if (request.trace_id != 0) {
+      if (request.trace.active()) {
         obs::TraceRecorder::Global().Record(
-            request.trace_id, request.parent_span, "serve probe",
+            request.trace.trace_id, request.trace.parent_span, "serve probe",
             probe_start_us, obs::NowMicros() - probe_start_us);
       }
       SendOn(conn, FrameType::kProbeResult, frame.request_id,
@@ -507,9 +508,7 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       uint64_t filter = 0;
       const Status st = DecodeObserveRequest(frame.payload, &kind, &filter);
       if (!st.ok()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        conn.close_after_flush = true;
-        SendError(conn, frame.request_id, st);
+        FailConnection(conn, frame.request_id, st);
         return;
       }
       // The oracle doubles as the federation seam when this process
@@ -772,22 +771,36 @@ void NetServer::Impl::DispatchLoop() {
   }
 }
 
+namespace {
+
+/// QUERY and BATCH decode into one shape: a QUERY is a one-text batch.
+/// The frame type only picks the decoder here and the response
+/// encoder in ProcessQueryGroup.
+Status DecodeEvalRequest(const PendingRequest& request,
+                         const WireLimits& limits, BatchRequest* out) {
+  if (request.type == FrameType::kBatch) {
+    return DecodeBatchRequest(request.payload, limits, out);
+  }
+  QueryRequest query;
+  GTPQ_RETURN_NOT_OK(DecodeQueryRequest(request.payload, &query));
+  *out = BatchRequest{query.result_limit, {std::move(query.text)},
+                      query.parallelism, query.trace};
+  return Status::OK();
+}
+
+}  // namespace
+
 void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   // Per adopted request: the decoded queries and where its answers live.
   struct Parsed {
     const PendingRequest* request;
-    bool is_batch = false;
-    uint64_t result_limit = 0;
-    uint32_t parallelism = 0;  // requested intra-query lanes (0 = serial)
+    BatchRequest decoded;
     std::vector<Gtpq> queries;
     std::vector<QueryResult> results;
     uint64_t epoch = 0;
-    // Trace correlation carried on the wire; the dispatch span covers
-    // this request from decode to response and parents the per-query
-    // evaluate spans.
-    uint64_t trace_id = 0;
+    // The dispatch span covers a traced request from decode to
+    // response and parents the per-query evaluate spans.
     uint64_t dispatch_span = 0;
-    uint64_t parent_span = 0;
     double dispatch_start_us = 0;
   };
   std::vector<Parsed> parsed;
@@ -805,39 +818,16 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   for (const PendingRequest& request : group) {
     Parsed p;
     p.request = &request;
-    std::vector<std::string> texts;
-    if (request.type == FrameType::kQuery) {
-      QueryRequest decoded;
-      const Status st = DecodeQueryRequest(request.payload, &decoded);
-      if (!st.ok()) {
-        RespondError(request, st);
-        continue;
-      }
-      p.result_limit = decoded.result_limit;
-      p.parallelism = decoded.parallelism;
-      p.trace_id = decoded.trace_id;
-      p.parent_span = decoded.parent_span;
-      texts.push_back(std::move(decoded.text));
-    } else {
-      BatchRequest decoded;
-      const Status st =
-          DecodeBatchRequest(request.payload, options.limits, &decoded);
-      if (!st.ok()) {
-        RespondError(request, st);
-        continue;
-      }
-      p.is_batch = true;
-      p.result_limit = decoded.result_limit;
-      p.parallelism = decoded.parallelism;
-      p.trace_id = decoded.trace_id;
-      p.parent_span = decoded.parent_span;
-      texts = std::move(decoded.texts);
+    const Status st = DecodeEvalRequest(request, options.limits, &p.decoded);
+    if (!st.ok()) {
+      RespondError(request, st);
+      continue;
     }
-    if (p.trace_id != 0) {
+    if (p.decoded.trace.active()) {
       p.dispatch_span = obs::TraceRecorder::Global().NewSpanId();
       p.dispatch_start_us = obs::NowMicros();
     }
-
+    const std::vector<std::string>& texts = p.decoded.texts;
     bool bad = false;
     for (size_t i = 0; i < texts.size(); ++i) {
       auto query = ParseQuery(texts[i], names);
@@ -866,23 +856,23 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   std::vector<char> done(parsed.size(), 0);
   for (size_t anchor = 0; anchor < parsed.size(); ++anchor) {
     if (done[anchor]) continue;
-    const uint64_t limit = parsed[anchor].result_limit;
-    const uint32_t requested_lanes = parsed[anchor].parallelism;
+    const uint64_t limit = parsed[anchor].decoded.result_limit;
+    const uint32_t requested_lanes = parsed[anchor].decoded.parallelism;
     queries.clear();
     traces.clear();
     origin.clear();
     members.clear();
     for (size_t i = anchor; i < parsed.size(); ++i) {
-      if (done[i] || parsed[i].result_limit != limit ||
-          parsed[i].parallelism != requested_lanes) {
+      if (done[i] || parsed[i].decoded.result_limit != limit ||
+          parsed[i].decoded.parallelism != requested_lanes) {
         continue;
       }
       done[i] = 1;
       members.push_back(i);
       for (size_t q = 0; q < parsed[i].queries.size(); ++q) {
         queries.push_back(std::move(parsed[i].queries[q]));
-        traces.push_back(
-            obs::TraceContext{parsed[i].trace_id, parsed[i].dispatch_span});
+        traces.push_back(obs::TraceContext{parsed[i].decoded.trace.trace_id,
+                                           parsed[i].dispatch_span});
         origin.emplace_back(i, q);
       }
       parsed[i].results.resize(parsed[i].queries.size());
@@ -912,12 +902,13 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   }
 
   for (Parsed& p : parsed) {
-    if (p.trace_id != 0) {
+    const obs::TraceContext& trace = p.decoded.trace;
+    if (trace.active()) {
       obs::TraceRecorder::Global().Record(
-          p.trace_id, p.dispatch_span, p.parent_span, "dispatch",
+          trace.trace_id, p.dispatch_span, trace.parent_span, "dispatch",
           p.dispatch_start_us, obs::NowMicros() - p.dispatch_start_us);
     }
-    if (p.is_batch) {
+    if (p.request->type == FrameType::kBatch) {
       WireBatchResult result;
       result.epoch = p.epoch;
       result.results = std::move(p.results);

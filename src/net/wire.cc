@@ -84,6 +84,36 @@ Status DecodeQueryResult(Reader* r, QueryResult* out) {
   return Status::OK();
 }
 
+/// The trace pair of the request trailer (wire.h): written only for an
+/// active trace, read only when bytes remain.
+void WriteTracePair(Writer* w, const obs::TraceContext& trace) {
+  if (!trace.active()) return;
+  w->WriteU64(trace.trace_id);
+  w->WriteU64(trace.parent_span);
+}
+
+Status ReadTracePair(Reader* r, obs::TraceContext* trace) {
+  *trace = obs::TraceContext{};
+  if (r->remaining() == 0) return Status::OK();
+  GTPQ_RETURN_NOT_OK(r->ReadU64(&trace->trace_id));
+  return r->ReadU64(&trace->parent_span);
+}
+
+/// The QUERY/BATCH trailer: parallelism, then the trace pair. A traced
+/// request writes parallelism even when 0 so the pair keeps its place.
+void WriteQueryTrailer(Writer* w, uint32_t parallelism,
+                       const obs::TraceContext& trace) {
+  if (parallelism != 0 || trace.active()) w->WriteU32(parallelism);
+  WriteTracePair(w, trace);
+}
+
+Status ReadQueryTrailer(Reader* r, uint32_t* parallelism,
+                        obs::TraceContext* trace) {
+  *parallelism = 0;
+  if (r->remaining() > 0) GTPQ_RETURN_NOT_OK(r->ReadU32(parallelism));
+  return ReadTracePair(r, trace);
+}
+
 Status ExpectMagic(Reader* r) {
   uint32_t magic = 0, version = 0;
   GTPQ_RETURN_NOT_OK(r->ReadU32(&magic));
@@ -241,16 +271,7 @@ std::string EncodeQueryRequest(const QueryRequest& request) {
   Writer w;
   w.WriteU64(request.result_limit);
   w.WriteString(request.text);
-  // Optional trailing fields: a serial, untraced request stays
-  // byte-identical to the original v1 layout. A traced request encodes
-  // parallelism even when 0 so the trace pair keeps its position.
-  if (request.parallelism != 0 || request.trace_id != 0) {
-    w.WriteU32(request.parallelism);
-  }
-  if (request.trace_id != 0) {
-    w.WriteU64(request.trace_id);
-    w.WriteU64(request.parent_span);
-  }
+  WriteQueryTrailer(&w, request.parallelism, request.trace);
   return w.buffer();
 }
 
@@ -259,19 +280,9 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
       payload, "QUERY",
       [](Reader* r, void* opaque) -> Status {
         auto* request = static_cast<QueryRequest*>(opaque);
-        request->parallelism = 0;
-        request->trace_id = 0;
-        request->parent_span = 0;
         GTPQ_RETURN_NOT_OK(r->ReadU64(&request->result_limit));
         GTPQ_RETURN_NOT_OK(r->ReadString(&request->text));
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(r->ReadU32(&request->parallelism));
-        }
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->trace_id));
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->parent_span));
-        }
-        return Status::OK();
+        return ReadQueryTrailer(r, &request->parallelism, &request->trace);
       },
       out);
 }
@@ -281,13 +292,7 @@ std::string EncodeBatchRequest(const BatchRequest& request) {
   w.WriteU64(request.result_limit);
   w.WriteU32(static_cast<uint32_t>(request.texts.size()));
   for (const std::string& text : request.texts) w.WriteString(text);
-  if (request.parallelism != 0 || request.trace_id != 0) {
-    w.WriteU32(request.parallelism);
-  }
-  if (request.trace_id != 0) {
-    w.WriteU64(request.trace_id);
-    w.WriteU64(request.parent_span);
-  }
+  WriteQueryTrailer(&w, request.parallelism, request.trace);
   return w.buffer();
 }
 
@@ -295,9 +300,6 @@ Status DecodeBatchRequest(std::string_view payload,
                           const WireLimits& limits, BatchRequest* out) {
   Reader r(payload);
   out->texts.clear();
-  out->parallelism = 0;
-  out->trace_id = 0;
-  out->parent_span = 0;
   Status st = [&]() -> Status {
     GTPQ_RETURN_NOT_OK(r.ReadU64(&out->result_limit));
     uint32_t count = 0;
@@ -313,13 +315,7 @@ Status DecodeBatchRequest(std::string_view payload,
       GTPQ_RETURN_NOT_OK(r.ReadString(&text));
       out->texts.push_back(std::move(text));
     }
-    if (r.remaining() > 0) {
-      GTPQ_RETURN_NOT_OK(r.ReadU32(&out->parallelism));
-    }
-    if (r.remaining() > 0) {
-      GTPQ_RETURN_NOT_OK(r.ReadU64(&out->trace_id));
-      GTPQ_RETURN_NOT_OK(r.ReadU64(&out->parent_span));
-    }
+    GTPQ_RETURN_NOT_OK(ReadQueryTrailer(&r, &out->parallelism, &out->trace));
     return r.ExpectEnd();
   }();
   if (!st.ok() && st.code() == StatusCode::kParseError) {
@@ -456,10 +452,7 @@ std::string EncodeProbeRequest(const ProbeRequest& request) {
   w.WriteU8(request.reverse ? 1 : 0);
   w.WriteU64(request.pivot);
   w.WritePodVec(request.ids);
-  if (request.trace_id != 0) {
-    w.WriteU64(request.trace_id);
-    w.WriteU64(request.parent_span);
-  }
+  WriteTracePair(&w, request.trace);
   return w.buffer();
 }
 
@@ -480,14 +473,8 @@ Status DecodeProbeRequest(std::string_view payload, ProbeRequest* out) {
           return Status::ParseError("probe pivot exceeds the node id range");
         }
         request->pivot = static_cast<NodeId>(pivot);
-        request->trace_id = 0;
-        request->parent_span = 0;
         GTPQ_RETURN_NOT_OK(r->ReadPodVec(&request->ids));
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->trace_id));
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->parent_span));
-        }
-        return Status::OK();
+        return ReadTracePair(r, &request->trace);
       },
       out);
 }

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "core/eval_types.h"
+#include "obs/trace.h"
 #include "runtime/query_server.h"
 
 namespace gtpq {
@@ -30,20 +31,22 @@ namespace net {
 /// codec shares its byte order, bounds checking, and checksum flavour
 /// with the .gtpqidx on-disk format.
 ///
+/// Request trailer: QUERY, BATCH and PROBE may end with optional
+/// fields that are encoded only when set. A request that leaves them
+/// unset is byte-identical to the original v1 layout, and a decoder
+/// that finds the payload exhausted reads them as 0.
+///   trace pair     u64 trace id + u64 parent span id (obs/trace.h),
+///                  present only when the trace id is non-zero
+///   query trailer  u32 parallelism budget, then the trace pair; the
+///                  u32 is present when parallelism is non-zero or a
+///                  trace pair follows, so decoding stays positional
+///
 /// Request payloads:
 ///   HELLO          u32 magic "GTPW", u32 version
 ///   QUERY          u64 result_limit, string query text
-///                  (query/query_parser.h line format), then an
-///                  OPTIONAL u32 parallelism budget (0 when absent) —
-///                  emitted only when non-zero so v1 peers that stop at
-///                  the query text still interoperate — then an OPTIONAL
-///                  u64 trace id + u64 parent span id pair, emitted only
-///                  when the request is traced (parallelism is encoded
-///                  whenever the trace fields are, keeping the layout
-///                  positional)
+///                  (query/query_parser.h line format), query trailer
 ///   BATCH          u64 result_limit, u32 count, count query strings,
-///                  then the same optional trailing u32 parallelism and
-///                  optional u64 trace id + u64 parent span pair
+///                  query trailer
 ///   APPLY_UPDATES  string "gtpq-updates v1" text (dynamic/update_io.h)
 ///   STATS          empty
 ///   PROBE          u8 direction (0 = does pivot reach ids[i], 1 = does
@@ -51,12 +54,12 @@ namespace net {
 ///                  target ids as a NodeId POD vector — the reachability
 ///                  scatter-gather primitive the cluster router fans out
 ///                  to shard servers (src/cluster/shard_router.h) — then
-///                  the same optional u64 trace id + u64 parent span
+///                  a trace pair
 ///   OBSERVE        u8 kind (0 = Prometheus metrics, 1 = Chrome trace
 ///                  JSON, 2 = slow-query log, 3 = binary metrics
 ///                  snapshot, 4 = health report, 5 = binary span dump),
-///                  then an optional trailing u64 trace-id filter
-///                  (encoded only when non-zero; absent for old peers)
+///                  then an optional u64 trace-id filter, encoded only
+///                  when non-zero
 ///
 /// Response payloads (type = request type | 0x80, or ERROR):
 ///   HELLO_OK       u32 magic, u32 version, u64 epoch, u64 graph nodes,
@@ -159,31 +162,25 @@ struct HelloOk {
 std::string EncodeHelloOk(const HelloOk& hello);
 Status DecodeHelloOk(std::string_view payload, HelloOk* out);
 
+/// QUERY payload. `parallelism` and `trace` form the query trailer.
 struct QueryRequest {
   uint64_t result_limit = 0;
   std::string text;
   /// Requested intra-query lanes (GteaOptions::parallelism); 0 = serial.
-  /// Optional on the wire: encoded only when non-zero, decoded as 0
-  /// when the trailing field is absent.
   uint32_t parallelism = 0;
-  /// Optional distributed-trace correlation (obs/trace.h): encoded as a
-  /// trailing u64 pair only when trace_id is non-zero (parallelism is
-  /// then encoded too, even when 0, so positional decoding holds);
-  /// decoded as 0 when absent. Untraced requests stay byte-identical to
-  /// the original v1 layout.
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
+  /// Distributed-trace correlation; an inactive context is untraced.
+  obs::TraceContext trace = {};
 };
 std::string EncodeQueryRequest(const QueryRequest& request);
 Status DecodeQueryRequest(std::string_view payload, QueryRequest* out);
 
+/// BATCH payload: the QUERY fields with several texts. The server
+/// decodes a QUERY into this shape too, as a one-text batch.
 struct BatchRequest {
   uint64_t result_limit = 0;
   std::vector<std::string> texts;
-  /// Same optional trailing fields as QueryRequest.
   uint32_t parallelism = 0;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
+  obs::TraceContext trace = {};
 };
 std::string EncodeBatchRequest(const BatchRequest& request);
 Status DecodeBatchRequest(std::string_view payload, const WireLimits& limits,
@@ -222,11 +219,8 @@ struct ProbeRequest {
   bool reverse = false;
   NodeId pivot = 0;
   std::vector<NodeId> ids;
-  /// Optional trailing trace correlation, as on QueryRequest: a u64
-  /// pair appended only when trace_id is non-zero, decoded as 0 when
-  /// absent.
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
+  /// Encoded as the trace pair.
+  obs::TraceContext trace = {};
 };
 std::string EncodeProbeRequest(const ProbeRequest& request);
 Status DecodeProbeRequest(std::string_view payload, ProbeRequest* out);
@@ -258,8 +252,7 @@ enum class ObserveKind : uint8_t {
   kSpans = 5,            // binary span dump (obs/federation.h)
 };
 /// The optional trailing `trace_id` filters kTrace/kSpans exports to
-/// one trace. Like every optional wire field it is encoded only when
-/// non-zero, so frames without it stay byte-identical to PR 9 peers.
+/// one trace; it is encoded only when non-zero.
 std::string EncodeObserveRequest(ObserveKind kind, uint64_t trace_id = 0);
 Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
                             uint64_t* trace_id);

@@ -165,31 +165,26 @@ QueryResult QueryServer::EvaluateOnWorker(
   }
   {
     std::lock_guard<std::mutex> lock(worker.mu);
-    ++worker.served.queries;
-    worker.served.input_nodes += stats.input_nodes;
-    worker.served.index_lookups += stats.index_lookups;
-    worker.served.intermediate_size += stats.intermediate_size;
-    worker.served.join_ops += stats.join_ops;
-    worker.served.busy_ms += elapsed_ms;
-    worker.served.match_ms += stats.match_ms;
-    worker.served.prune_down_ms += stats.prune_down_ms;
-    worker.served.prime_ms += stats.prime_ms;
-    worker.served.prune_up_ms += stats.prune_up_ms;
-    worker.served.matching_graph_ms += stats.matching_graph_ms;
-    worker.served.enumerate_ms += stats.enumerate_ms;
+    ServingStats& served = worker.served;
+    ++served.queries;
+    served.input_nodes += stats.input_nodes;
+    served.index_lookups += stats.index_lookups;
+    served.intermediate_size += stats.intermediate_size;
+    served.join_ops += stats.join_ops;
+    served.busy_ms += elapsed_ms;
+    served.match_ms += stats.match_ms;
+    served.prune_down_ms += stats.prune_down_ms;
+    served.prime_ms += stats.prime_ms;
+    served.prune_up_ms += stats.prune_up_ms;
+    served.matching_graph_ms += stats.matching_graph_ms;
+    served.enumerate_ms += stats.enumerate_ms;
   }
   return result;
 }
 
 std::vector<QueryResult> QueryServer::EvaluateBatch(
     std::span<const Gtpq> queries, BatchInfo* info) {
-  return EvaluateBatch(queries, info, options_.eval_options, {});
-}
-
-std::vector<QueryResult> QueryServer::EvaluateBatch(
-    std::span<const Gtpq> queries, BatchInfo* info,
-    const GteaOptions& options) {
-  return EvaluateBatch(queries, info, options, {});
+  return EvaluateBatch(queries, info, options_.eval_options);
 }
 
 std::vector<QueryResult> QueryServer::EvaluateBatch(
@@ -246,19 +241,6 @@ std::vector<QueryResult> QueryServer::EvaluateBatch(
   return results;
 }
 
-std::future<QueryResult> QueryServer::Submit(Gtpq query) {
-  auto promise = std::make_shared<std::promise<QueryResult>>();
-  std::future<QueryResult> future = promise->get_future();
-  auto shared_query = std::make_shared<Gtpq>(std::move(query));
-  std::shared_ptr<const EngineSnapshot> snap = factory_->snapshot();
-  pool_->Submit([this, promise, shared_query, snap = std::move(snap)] {
-    promise->set_value(EvaluateOnWorker(*shared_query, snap,
-                                        options_.eval_options,
-                                        obs::TraceContext{}));
-  });
-  return future;
-}
-
 Status QueryServer::ProbeReachability(bool reverse, NodeId pivot,
                                       std::span<const NodeId> ids,
                                       uint64_t* epoch,
@@ -303,46 +285,29 @@ Status QueryServer::ApplyUpdates(const UpdateBatch& batch) {
   return st;
 }
 
-QueryServer::Snapshot QueryServer::stats() const {
-  Snapshot total;
-  for (const auto& worker : workers_) {
-    std::lock_guard<std::mutex> lock(worker->mu);
-    total.queries += worker->served.queries;
-    total.input_nodes += worker->served.input_nodes;
-    total.index_lookups += worker->served.index_lookups;
-    total.intermediate_size += worker->served.intermediate_size;
-    total.join_ops += worker->served.join_ops;
-    total.busy_ms += worker->served.busy_ms;
-    total.match_ms += worker->served.match_ms;
-    total.prune_down_ms += worker->served.prune_down_ms;
-    total.prime_ms += worker->served.prime_ms;
-    total.prune_up_ms += worker->served.prune_up_ms;
-    total.matching_graph_ms += worker->served.matching_graph_ms;
-    total.enumerate_ms += worker->served.enumerate_ms;
-  }
-  return total;
-}
-
 ServingStats QueryServer::serving_stats() const {
   ServingStats out;
+  for (const auto& worker : workers_) {
+    std::lock_guard<std::mutex> lock(worker->mu);
+    const ServingStats& served = worker->served;
+    out.queries += served.queries;
+    out.input_nodes += served.input_nodes;
+    out.index_lookups += served.index_lookups;
+    out.intermediate_size += served.intermediate_size;
+    out.join_ops += served.join_ops;
+    out.busy_ms += served.busy_ms;
+    out.match_ms += served.match_ms;
+    out.prune_down_ms += served.prune_down_ms;
+    out.prime_ms += served.prime_ms;
+    out.prune_up_ms += served.prune_up_ms;
+    out.matching_graph_ms += served.matching_graph_ms;
+    out.enumerate_ms += served.enumerate_ms;
+  }
   out.engine = engine_name();
   out.epoch = epoch();
   out.threads = num_threads();
   out.batches = batches_.load(std::memory_order_relaxed);
   out.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  const Snapshot counters = stats();
-  out.queries = counters.queries;
-  out.input_nodes = counters.input_nodes;
-  out.index_lookups = counters.index_lookups;
-  out.intermediate_size = counters.intermediate_size;
-  out.join_ops = counters.join_ops;
-  out.busy_ms = counters.busy_ms;
-  out.match_ms = counters.match_ms;
-  out.prune_down_ms = counters.prune_down_ms;
-  out.prime_ms = counters.prime_ms;
-  out.prune_up_ms = counters.prune_up_ms;
-  out.matching_graph_ms = counters.matching_graph_ms;
-  out.enumerate_ms = counters.enumerate_ms;
   return out;
 }
 

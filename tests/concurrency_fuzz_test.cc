@@ -86,7 +86,7 @@ TEST_P(ConcurrencyFuzzTest, EightThreadServerMatchesSequential) {
             << queries[i].ToString(*g.attr_names());
       }
     }
-    EXPECT_EQ(server.stats().queries, 2 * queries.size());
+    EXPECT_EQ(server.serving_stats().queries, 2 * queries.size());
   }
 }
 

@@ -200,13 +200,13 @@ TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
     storage::Writer w;
     w.WriteU64(9);
     w.WriteString("a\n");
-    net::QueryRequest out{1, "x", 5, 5, 5};  // poisoned optionals
+    net::QueryRequest out{1, "x", 5, {5, 5}};  // poisoned optionals
     ASSERT_TRUE(net::DecodeQueryRequest(w.buffer(), &out).ok());
     EXPECT_EQ(out.result_limit, 9u);
     EXPECT_EQ(out.text, "a\n");
     EXPECT_EQ(out.parallelism, 0u);
-    EXPECT_EQ(out.trace_id, 0u);
-    EXPECT_EQ(out.parent_span, 0u);
+    EXPECT_EQ(out.trace.trace_id, 0u);
+    EXPECT_EQ(out.trace.parent_span, 0u);
   }
   {
     storage::Writer w;
@@ -215,11 +215,11 @@ TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
     w.WriteString("a\n");
     w.WriteString("b\n");
     net::BatchRequest out;
-    out.trace_id = 5;
+    out.trace.trace_id = 5;
     ASSERT_TRUE(net::DecodeBatchRequest(w.buffer(), {}, &out).ok());
     EXPECT_EQ(out.texts.size(), 2u);
     EXPECT_EQ(out.parallelism, 0u);
-    EXPECT_EQ(out.trace_id, 0u);
+    EXPECT_EQ(out.trace.trace_id, 0u);
   }
   {
     storage::Writer w;
@@ -227,12 +227,12 @@ TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
     w.WriteU64(3);
     w.WritePodVec(std::vector<NodeId>{1, 2, 7});
     net::ProbeRequest out;
-    out.trace_id = 5;
+    out.trace.trace_id = 5;
     ASSERT_TRUE(net::DecodeProbeRequest(w.buffer(), &out).ok());
     EXPECT_TRUE(out.reverse);
     EXPECT_EQ(out.ids.size(), 3u);
-    EXPECT_EQ(out.trace_id, 0u);
-    EXPECT_EQ(out.parent_span, 0u);
+    EXPECT_EQ(out.trace.trace_id, 0u);
+    EXPECT_EQ(out.trace.parent_span, 0u);
   }
 
   // Untraced requests still encode byte-identically to the old layout;
@@ -240,37 +240,37 @@ TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
   // positional decode) plus the 16-byte trace pair.
   net::QueryRequest plain{4, "q\n"};
   net::QueryRequest traced = plain;
-  traced.trace_id = 0xabcdef01;
-  traced.parent_span = 77;
+  traced.trace.trace_id = 0xabcdef01;
+  traced.trace.parent_span = 77;
   EXPECT_EQ(net::EncodeQueryRequest(traced).size(),
             net::EncodeQueryRequest(plain).size() + 4 + 16);
   net::QueryRequest traced2;
   ASSERT_TRUE(
       net::DecodeQueryRequest(net::EncodeQueryRequest(traced), &traced2)
           .ok());
-  EXPECT_EQ(traced2.trace_id, 0xabcdef01u);
-  EXPECT_EQ(traced2.parent_span, 77u);
+  EXPECT_EQ(traced2.trace.trace_id, 0xabcdef01u);
+  EXPECT_EQ(traced2.trace.parent_span, 77u);
   EXPECT_EQ(traced2.parallelism, 0u);
   EXPECT_EQ(traced2.text, plain.text);
 
   net::BatchRequest traced_batch{0, {"a\n"}};
   traced_batch.parallelism = 3;
-  traced_batch.trace_id = 11;
-  traced_batch.parent_span = 12;
+  traced_batch.trace.trace_id = 11;
+  traced_batch.trace.parent_span = 12;
   net::BatchRequest traced_batch2;
   ASSERT_TRUE(net::DecodeBatchRequest(
                   net::EncodeBatchRequest(traced_batch), {},
                   &traced_batch2)
                   .ok());
   EXPECT_EQ(traced_batch2.parallelism, 3u);
-  EXPECT_EQ(traced_batch2.trace_id, 11u);
-  EXPECT_EQ(traced_batch2.parent_span, 12u);
+  EXPECT_EQ(traced_batch2.trace.trace_id, 11u);
+  EXPECT_EQ(traced_batch2.trace.parent_span, 12u);
 
   net::ProbeRequest traced_probe;
   traced_probe.pivot = 5;
   traced_probe.ids = {8, 9};
-  traced_probe.trace_id = 21;
-  traced_probe.parent_span = 22;
+  traced_probe.trace.trace_id = 21;
+  traced_probe.trace.parent_span = 22;
   EXPECT_EQ(net::EncodeProbeRequest(traced_probe).size(),
             net::EncodeProbeRequest({false, 5, {8, 9}}).size() + 16);
   net::ProbeRequest traced_probe2;
@@ -278,8 +278,8 @@ TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
                   net::EncodeProbeRequest(traced_probe), &traced_probe2)
                   .ok());
   EXPECT_EQ(traced_probe2.ids, traced_probe.ids);
-  EXPECT_EQ(traced_probe2.trace_id, 21u);
-  EXPECT_EQ(traced_probe2.parent_span, 22u);
+  EXPECT_EQ(traced_probe2.trace.trace_id, 21u);
+  EXPECT_EQ(traced_probe2.trace.parent_span, 22u);
 }
 
 TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
@@ -333,6 +333,78 @@ TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
       static_cast<uint8_t>(FrameType::kObserveResult)));
   EXPECT_TRUE(net::IsKnownType(
       static_cast<uint8_t>(FrameType::kObserveResult)));
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+TEST(WireCodecTest, RequestPayloadsMatchGoldenBytes) {
+  // Exact encodings of every request payload with an optional trailer,
+  // pinned as hex: variant bit 0 sets parallelism, bit 1 the trace
+  // pair. Each golden payload must also decode and re-encode to itself.
+  const char* const kQuery[] = {
+      "070000000000000002000000710a",
+      "070000000000000002000000710a04000000",
+      "070000000000000002000000710a00000000887766554433"
+      "22119900000000000000",
+      "070000000000000002000000710a04000000887766554433"
+      "22119900000000000000"};
+  const char* const kBatch[] = {
+      "05000000000000000200000002000000610a02000000620a",
+      "05000000000000000200000002000000610a02000000620a"
+      "04000000",
+      "05000000000000000200000002000000610a02000000620a"
+      "0000000088776655443322119900000000000000",
+      "05000000000000000200000002000000610a02000000620a"
+      "0400000088776655443322119900000000000000"};
+  net::QueryRequest query{7, "q\n"};
+  net::BatchRequest batch{5, {"a\n", "b\n"}};
+  for (int variant = 0; variant < 4; ++variant) {
+    const bool traced = (variant & 2) != 0;
+    query.parallelism = batch.parallelism = (variant & 1) != 0 ? 4 : 0;
+    query.trace = batch.trace =
+        traced ? obs::TraceContext{0x1122334455667788u, 0x99u}
+               : obs::TraceContext{};
+    const std::string q = net::EncodeQueryRequest(query);
+    EXPECT_EQ(Hex(q), kQuery[variant]) << "QUERY variant " << variant;
+    net::QueryRequest query2;
+    ASSERT_TRUE(net::DecodeQueryRequest(q, &query2).ok());
+    EXPECT_EQ(net::EncodeQueryRequest(query2), q);
+    const std::string b = net::EncodeBatchRequest(batch);
+    EXPECT_EQ(Hex(b), kBatch[variant]) << "BATCH variant " << variant;
+    net::BatchRequest batch2;
+    ASSERT_TRUE(net::DecodeBatchRequest(b, {}, &batch2).ok());
+    EXPECT_EQ(net::EncodeBatchRequest(batch2), b);
+  }
+
+  net::ProbeRequest probe{true, 3, {1, 2, 7}};
+  const std::string untraced_probe = net::EncodeProbeRequest(probe);
+  EXPECT_EQ(Hex(untraced_probe),
+            "010300000000000000030000000000000001000000020000"
+            "0007000000");
+  probe.trace = {0x1122334455667788u, 0x99u};
+  const std::string traced_probe = net::EncodeProbeRequest(probe);
+  EXPECT_EQ(Hex(traced_probe),
+            "010300000000000000030000000000000001000000020000"
+            "000700000088776655443322119900000000000000");
+  for (const std::string& p : {untraced_probe, traced_probe}) {
+    net::ProbeRequest probe2;
+    ASSERT_TRUE(net::DecodeProbeRequest(p, &probe2).ok());
+    EXPECT_EQ(net::EncodeProbeRequest(probe2), p);
+  }
+
+  EXPECT_EQ(Hex(net::EncodeObserveRequest(net::ObserveKind::kSpans)),
+            "05");
+  EXPECT_EQ(Hex(net::EncodeObserveRequest(net::ObserveKind::kSpans,
+                                          0x1122334455667788u)),
+            "058877665544332211");
 }
 
 TEST(WireCodecTest, HealthReportRoundTripAndValidate) {
@@ -795,6 +867,28 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
 }
 
 #endif  // defined(__linux__)
+
+TEST(NetServerTest, ConnectionFatalErrorReachesTheWaitingCaller) {
+  DataGraph g = testing::SmallDag();
+  net::NetServerOptions options;
+  options.runtime.num_threads = 1;
+  options.limits.max_frame_bytes = 4096;
+  net::NetServer server(g, options);
+  START_OR_SKIP(server);
+
+  // The client's default limits let it send a frame past the server's
+  // 4 KiB limit. The server answers with a final request-id-0 ERROR and
+  // closes; the waiting caller must get that typed reason, not a bare
+  // "connection closed".
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto result = client.Query(std::string(10000, 'x'));
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("4096-byte limit"),
+            std::string::npos)
+      << result.status().ToString();
+}
 
 TEST(NetServerTest, AdmissionControlRejectsWithTypedErrors) {
   DataGraph g = RandomDag({.num_nodes = 40,

@@ -125,7 +125,7 @@ TEST(QueryServerTest, BatchMatchesSequentialEngine) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(results[i], reference.Evaluate(queries[i])) << "query " << i;
   }
-  EXPECT_EQ(server.stats().queries, queries.size());
+  EXPECT_EQ(server.serving_stats().queries, queries.size());
 }
 
 TEST(QueryServerTest, ServesEverySpecFamily) {
@@ -146,21 +146,6 @@ TEST(QueryServerTest, ServesEverySpecFamily) {
   }
 }
 
-TEST(QueryServerTest, SubmitResolvesFutures) {
-  DataGraph g = SmallDag();
-  std::vector<Gtpq> queries = MakeQueryBatch(g, 8, 900);
-  ASSERT_FALSE(queries.empty());
-  GteaEngine reference(g);
-
-  QueryServer server(g, {.num_threads = 2});
-  std::vector<std::future<QueryResult>> futures;
-  for (const Gtpq& q : queries) futures.push_back(server.Submit(q));
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), reference.Evaluate(queries[i]));
-  }
-  EXPECT_EQ(server.stats().queries, queries.size());
-}
-
 TEST(QueryServerTest, StatsAggregateAcrossWorkers) {
   DataGraph g = RandomDag({.num_nodes = 100,
                            .avg_degree = 2.2,
@@ -172,7 +157,7 @@ TEST(QueryServerTest, StatsAggregateAcrossWorkers) {
 
   QueryServer server(g, {.num_threads = 4});
   server.EvaluateBatch(queries);
-  auto snapshot = server.stats();
+  auto snapshot = server.serving_stats();
   EXPECT_EQ(snapshot.queries, queries.size());
   EXPECT_GT(snapshot.input_nodes, 0u);
   EXPECT_GT(snapshot.index_lookups, 0u);
